@@ -97,7 +97,7 @@ pub use reliable::{
     LinkCounters, ReliableActor, ReliableConfig, ReliableMsg, Transport, RELIABLE_TIMER,
 };
 pub use runtime::{shard_threads_from_env, Runtime};
-pub use stats::{KindCounts, NetStats, Transcript};
+pub use stats::{DigestWriter, KindCounts, NetStats, Transcript};
 pub use theta::{
     edge_fidelity, run_theta_churn, run_theta_protocol, run_theta_protocol_sharded, ThetaChurnRun,
     ThetaMsg, ThetaNode, ThetaRun, ThetaTiming,

@@ -7,18 +7,27 @@
 //! state, so whatever topology or routing behaviour emerges is provably
 //! the product of local computation and received messages.
 
+use crate::stats::DigestWriter;
 use adhoc_geom::Point;
 use std::fmt::Debug;
 
 /// A message type usable by the runtime. `kind` labels the message for
-/// per-kind counters ([`NetStats`](crate::NetStats)); the `Debug`
-/// rendering feeds the replay transcript, so two runs with identical
-/// transcripts exchanged byte-identical message sequences.
+/// per-kind counters ([`NetStats`](crate::NetStats)); `digest_into`
+/// writes its binary encoding into the replay digest, so two runs with
+/// equal digests exchanged identical message sequences. The `Debug`
+/// rendering appears only in recorded transcripts
+/// ([`Runtime::record_trace`](crate::Runtime::record_trace)).
 pub trait Message: Clone + Debug {
     /// A short static label for stats bucketing (e.g. `"position"`).
     fn kind(&self) -> &'static str {
         "msg"
     }
+
+    /// Write this message into the replay digest: a variant tag (for
+    /// enums), then every field, with sequences length-prefixed
+    /// ([`DigestWriter::len_prefix`]), so that distinct messages never
+    /// write the same bytes.
+    fn digest_into(&self, w: &mut DigestWriter);
 }
 
 /// A node's local state machine. All methods receive a [`Ctx`] through

@@ -36,6 +36,7 @@
 //! worth less than the next periodic refresh.
 
 use crate::node::{Actor, Ctx, Message};
+use crate::stats::DigestWriter;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -128,6 +129,31 @@ impl<M: Message> Message for ReliableMsg<M> {
         match self {
             ReliableMsg::Data { payload, .. } | ReliableMsg::Raw(payload) => payload.kind(),
             ReliableMsg::Ack { .. } => "ack",
+        }
+    }
+
+    fn digest_into(&self, w: &mut DigestWriter) {
+        match self {
+            ReliableMsg::Data {
+                seq,
+                ack,
+                lo,
+                payload,
+            } => {
+                w.u8(0);
+                w.u64(*seq);
+                w.u64(*ack);
+                w.u64(*lo);
+                payload.digest_into(w);
+            }
+            ReliableMsg::Ack { ack } => {
+                w.u8(1);
+                w.u64(*ack);
+            }
+            ReliableMsg::Raw(payload) => {
+                w.u8(2);
+                payload.digest_into(w);
+            }
         }
     }
 }
@@ -579,6 +605,32 @@ mod tests {
     use crate::{ChurnPlan, MemberState};
     use adhoc_geom::Point;
 
+    /// Every envelope variant and field, the payload included, changes
+    /// the digest encoding.
+    #[test]
+    fn digest_encoding_separates_variants_and_fields() {
+        use crate::stats::message_digest;
+        let data = |seq, ack, lo, p| ReliableMsg::Data {
+            seq,
+            ack,
+            lo,
+            payload: Num(p),
+        };
+        let msgs = [
+            data(1, 2, 3, 4),
+            data(9, 2, 3, 4),
+            data(1, 9, 3, 4),
+            data(1, 2, 9, 4),
+            data(1, 2, 3, 9),
+            ReliableMsg::Ack { ack: 1 },
+            ReliableMsg::Ack { ack: 2 },
+            ReliableMsg::Raw(Num(1)),
+            ReliableMsg::Raw(Num(2)),
+        ];
+        let digests: BTreeSet<u64> = msgs.iter().map(message_digest).collect();
+        assert_eq!(digests.len(), msgs.len());
+    }
+
     /// A minimal source→sink protocol: node 0 emits `total` numbered
     /// payloads, one per tick; node 1 records what it receives.
     #[derive(Debug, Clone)]
@@ -595,6 +647,10 @@ mod tests {
     impl Message for Num {
         fn kind(&self) -> &'static str {
             "num"
+        }
+
+        fn digest_into(&self, w: &mut DigestWriter) {
+            w.u32(self.0);
         }
     }
 

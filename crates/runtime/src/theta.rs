@@ -41,7 +41,7 @@
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
 use crate::runtime::Runtime;
-use crate::stats::NetStats;
+use crate::stats::{DigestWriter, NetStats};
 use crate::{ChurnPlan, MemberState};
 use adhoc_geom::{Point, SectorPartition};
 use adhoc_graph::GraphBuilder;
@@ -87,6 +87,22 @@ impl Message for ThetaMsg {
             ThetaMsg::ConnAck => "conn-ack",
             ThetaMsg::Retract => "retract",
             ThetaMsg::RetractAck => "retract-ack",
+        }
+    }
+
+    fn digest_into(&self, w: &mut DigestWriter) {
+        match self {
+            ThetaMsg::Position { pos } => {
+                w.u8(0);
+                w.f64(pos.x);
+                w.f64(pos.y);
+            }
+            ThetaMsg::Neighborhood => w.u8(1),
+            ThetaMsg::NbrAck => w.u8(2),
+            ThetaMsg::Connection => w.u8(3),
+            ThetaMsg::ConnAck => w.u8(4),
+            ThetaMsg::Retract => w.u8(5),
+            ThetaMsg::RetractAck => w.u8(6),
         }
     }
 }
@@ -740,6 +756,32 @@ mod tests {
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
     use std::f64::consts::FRAC_PI_3;
+
+    /// Every variant and every field of a ΘALG message changes its digest
+    /// encoding (coordinates by bit pattern, so even `-0.0 ≠ 0.0`).
+    #[test]
+    fn digest_encoding_separates_variants_and_fields() {
+        use crate::stats::message_digest;
+        use std::collections::BTreeSet;
+        let at = |x, y| ThetaMsg::Position {
+            pos: Point::new(x, y),
+        };
+        let msgs = [
+            at(0.25, 0.5),
+            at(0.75, 0.5),
+            at(0.25, 0.75),
+            at(0.0, 0.5),
+            at(-0.0, 0.5),
+            ThetaMsg::Neighborhood,
+            ThetaMsg::NbrAck,
+            ThetaMsg::Connection,
+            ThetaMsg::ConnAck,
+            ThetaMsg::Retract,
+            ThetaMsg::RetractAck,
+        ];
+        let digests: BTreeSet<u64> = msgs.iter().map(message_digest).collect();
+        assert_eq!(digests.len(), msgs.len());
+    }
 
     fn uniform(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -125,11 +125,13 @@ mod tests {
     /// exactly the trace's last frame.
     #[test]
     fn waypoint_trace_round_trips_through_the_runtime() {
-        use adhoc_runtime::{Actor, ChurnPlan, Ctx, FaultConfig, Message, Runtime};
+        use adhoc_runtime::{Actor, ChurnPlan, Ctx, DigestWriter, FaultConfig, Message, Runtime};
 
         #[derive(Debug, Clone)]
         struct Quiet;
-        impl Message for Quiet {}
+        impl Message for Quiet {
+            fn digest_into(&self, _w: &mut DigestWriter) {}
+        }
         #[derive(Debug, Clone)]
         struct Silent;
         impl Actor for Silent {

@@ -12,7 +12,7 @@
 //! lossy links costs O(B) allocations post-fix, versus ≥ B·N clones
 //! pre-fix.
 
-use adhoc_runtime::{Actor, Ctx, FaultConfig, Message, Runtime};
+use adhoc_runtime::{Actor, Ctx, DigestWriter, FaultConfig, Message, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,11 +42,18 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// A heap-carrying payload: cloning it allocates, so a per-neighbor
 /// deep clone in the fan-out path shows up directly in the counter.
 #[derive(Debug, Clone)]
-struct Blob(#[allow(dead_code)] Vec<u64>);
+struct Blob(Vec<u64>);
 
 impl Message for Blob {
     fn kind(&self) -> &'static str {
         "blob"
+    }
+
+    fn digest_into(&self, w: &mut DigestWriter) {
+        w.len_prefix(self.0.len());
+        for &x in &self.0 {
+            w.u64(x);
+        }
     }
 }
 
