@@ -104,8 +104,8 @@ pub struct AdversaryEntry {
 /// [`crate::gossip::run_gossip_balancing_adversarial`]. Multiple
 /// attacks on one node compose in activation order. Unlike churn
 /// entries, activation times need no lookahead snapping: an attack is a
-/// pure function of `(time, message, sender)`, so both executors apply
-/// it identically wherever the time falls.
+/// pure function of `(time, message, sender)`, so it applies identically
+/// at every thread count wherever the time falls.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdversaryPlan {
     entries: Vec<AdversaryEntry>,

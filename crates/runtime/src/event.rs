@@ -7,8 +7,8 @@
 //! the same events therefore pop them in the same order **regardless of
 //! how the queue is physically laid out**: one global queue, or one queue
 //! per spatial shard with cross-shard events merged at epoch barriers.
-//! That invariance is what lets the sharded executor reproduce the
-//! sequential replay digest bit for bit.
+//! That invariance is what lets a run split over several cores reproduce
+//! the one-core replay digest bit for bit.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -415,7 +415,7 @@ mod tests {
 
     /// The order is a pure function of `(time, key)` — pushing the same
     /// events in any permutation pops them identically. This is the
-    /// property the sharded executor's digest stability rests on.
+    /// property the digest's stability across core counts rests on.
     #[test]
     fn pop_order_is_insertion_invariant() {
         let events = [

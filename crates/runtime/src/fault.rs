@@ -51,7 +51,7 @@ impl DelayDist {
     }
 
     /// Smallest latency this distribution can produce (always ≥ 1 — the
-    /// sharded executor's conservative lookahead).
+    /// event loop's conservative lookahead).
     pub fn min_delay(&self) -> u64 {
         match *self {
             DelayDist::Fixed(d) => d.max(1),
@@ -134,8 +134,8 @@ impl FaultConfig {
         self.delay.max_delay()
     }
 
-    /// Smallest per-copy latency the model can produce — the sharded
-    /// executor's lookahead window: no message sent in epoch `k` can
+    /// Smallest per-copy latency the model can produce — the event
+    /// loop's lookahead window: no message sent in epoch `k` can
     /// arrive before epoch `k + 1`.
     pub fn min_delay(&self) -> u64 {
         self.delay.min_delay()

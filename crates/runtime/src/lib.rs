@@ -12,9 +12,9 @@
 //! fault decisions from its own seeded RNG stream, events are ordered by
 //! the canonical `(time, EventKey)` key, and a rolling [`Transcript`]
 //! digest witnesses replay equality — the same seed reproduces the same
-//! run bit for bit, whether executed sequentially ([`Runtime::run`]) or
-//! sharded over worker threads ([`Runtime::run_sharded`] /
-//! [`Runtime::run_auto`]), asserted by tests.
+//! run bit for bit, whether its one event loop runs inline
+//! ([`Runtime::run`]) or sharded over worker threads
+//! ([`Runtime::run_sharded`]), asserted by tests.
 //!
 //! Two protocols from the paper are ported onto the runtime:
 //!

@@ -83,30 +83,53 @@ impl NetStats {
         }
     }
 
-    /// Fold another stats block into this one (sharded execution merges
-    /// per-shard counters at the end of a run). `max_queue_depth` is
-    /// deliberately *not* merged: it is sampled globally at epoch folds
-    /// by whichever executor is driving.
+    /// Fold another stats block into this one (a core's counters into the
+    /// run's). The destructuring names every field, so a counter added
+    /// without merging it here fails to compile.
     pub(crate) fn absorb(&mut self, other: &NetStats) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.broadcasts += other.broadcasts;
-        self.timers_set += other.timers_set;
-        self.timers_fired += other.timers_fired;
-        self.retransmits += other.retransmits;
-        self.acks += other.acks;
-        self.rto_fired += other.rto_fired;
-        self.non_neighbor_sends += other.non_neighbor_sends;
-        self.link_lost += other.link_lost;
-        self.timers_abandoned += other.timers_abandoned;
-        self.joins += other.joins;
-        self.leaves += other.leaves;
-        self.crashes += other.crashes;
-        self.drifts += other.drifts;
-        self.reconvergences += other.reconvergences;
-        for (k, c) in &other.per_kind {
+        let NetStats {
+            sent,
+            delivered,
+            dropped,
+            duplicated,
+            broadcasts,
+            timers_set,
+            timers_fired,
+            retransmits,
+            acks,
+            rto_fired,
+            non_neighbor_sends,
+            link_lost,
+            timers_abandoned,
+            joins,
+            leaves,
+            crashes,
+            drifts,
+            reconvergences,
+            // Not merged: the coordinator samples the pending-event count
+            // across all cores at every window fold.
+            max_queue_depth: _,
+            per_kind,
+        } = other;
+        self.sent += sent;
+        self.delivered += delivered;
+        self.dropped += dropped;
+        self.duplicated += duplicated;
+        self.broadcasts += broadcasts;
+        self.timers_set += timers_set;
+        self.timers_fired += timers_fired;
+        self.retransmits += retransmits;
+        self.acks += acks;
+        self.rto_fired += rto_fired;
+        self.non_neighbor_sends += non_neighbor_sends;
+        self.link_lost += link_lost;
+        self.timers_abandoned += timers_abandoned;
+        self.joins += joins;
+        self.leaves += leaves;
+        self.crashes += crashes;
+        self.drifts += drifts;
+        self.reconvergences += reconvergences;
+        for (k, c) in per_kind {
             self.per_kind.entry(k).or_default().add(c);
         }
     }
@@ -122,7 +145,7 @@ impl KindCounts {
 
 /// Per-kind counters of the event loop: a few entries keyed by the kind
 /// label's address, so a count costs a pointer compare instead of a
-/// string-keyed map lookup. Executors fold it into
+/// string-keyed map lookup. Each core folds it into
 /// [`NetStats::per_kind`], by label, at every window boundary.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KindTable {
@@ -169,8 +192,8 @@ impl KindTable {
 /// lookahead window, and at each window boundary the dirty `(node,
 /// sub-digest)` pairs are folded into the global digest in node-id
 /// order. A node's events happen in a deterministic local order no
-/// matter how execution is laid out, so the sequential executor and the
-/// sharded executor (any thread count) produce bit-identical digests.
+/// matter how many cores share the nodes, so a run's digest is the same
+/// at every thread count.
 #[derive(Debug, Clone)]
 pub struct Transcript {
     digest: u64,
@@ -258,25 +281,24 @@ impl Transcript {
         }
     }
 
-    /// Whether full-entry recording is on.
-    pub(crate) fn recording(&self) -> bool {
-        self.entries.is_some()
-    }
-
-    /// Fold one node's window sub-digest into the global digest. Callers
-    /// must fold in node-id order within a window — that canonical order
-    /// is what makes the digest independent of execution layout.
-    pub(crate) fn fold_node(&mut self, node: u32, sub: u64) {
-        let mut w = DigestWriter { state: self.digest };
-        w.u32(node);
-        w.u64(sub);
-        self.digest = w.state;
-    }
-
-    /// Append one rendered event record to the full log (recording only).
-    pub(crate) fn push_entry(&mut self, entry: String) {
+    /// Fold one window into the digest: every core's `(node, sub-digest)`
+    /// pairs in node-id order, then the rendered records grouped by node.
+    /// Cores own disjoint nodes, so sorting the pairs gives the same fold
+    /// whatever the number of cores. Drains `w` but keeps its capacity, so
+    /// a run that reuses one `WindowFolds` folds without allocating.
+    pub(crate) fn fold_window(&mut self, w: &mut WindowFolds) {
+        w.subs.sort_unstable_by_key(|&(node, _)| node);
+        for (node, sub) in w.subs.drain(..) {
+            let mut d = DigestWriter { state: self.digest };
+            d.u32(node);
+            d.u64(sub);
+            self.digest = d.state;
+        }
+        // Stable by node; per-node emission order preserved.
+        w.logs.sort_by_key(|&(node, _)| node);
+        let entries = w.logs.drain(..).map(|(_, entry)| entry);
         if let Some(log) = &mut self.entries {
-            log.push(entry);
+            log.extend(entries);
         }
     }
 
@@ -291,9 +313,23 @@ impl Transcript {
     }
 }
 
-/// Rendered `(node, record)` pairs shipped from shard workers when the
-/// transcript is recording.
-pub(crate) type NodeLogs = Vec<(u32, String)>;
+/// One window's records from one or more cores, ready for
+/// [`Transcript::fold_window`]: the dirty `(node, sub-digest)` pairs and,
+/// when recording, the rendered `(node, record)` pairs.
+#[derive(Debug, Default)]
+pub(crate) struct WindowFolds {
+    subs: Vec<(u32, u64)>,
+    logs: Vec<(u32, String)>,
+}
+
+impl WindowFolds {
+    /// Move another core's records for the same window to the end of
+    /// this one.
+    pub(crate) fn append(&mut self, other: &mut WindowFolds) {
+        self.subs.append(&mut other.subs);
+        self.logs.append(&mut other.logs);
+    }
+}
 
 /// The one-byte tag that opens every transcript record and fixes the
 /// layout of the rest of it:
@@ -472,52 +508,27 @@ impl WindowNotes {
         }
     }
 
-    /// End the current window: fold dirty sub-digests into `t` in node-id
-    /// order (and flush rendered records grouped by node), then reset for
-    /// the next window. Allocation-free when not recording.
-    pub(crate) fn fold_into(&mut self, t: &mut Transcript) {
+    /// Whether records are rendered as text too.
+    pub(crate) fn recording(&self) -> bool {
+        self.logs.is_some()
+    }
+
+    /// End the current window: move the dirty `(node, sub-digest)` pairs,
+    /// sorted by node id, and any rendered records into `out`, and reset
+    /// for the next window. Allocation-free when not recording and `out`
+    /// has capacity.
+    pub(crate) fn take_folds(&mut self, out: &mut WindowFolds) {
         self.dirty.sort_unstable();
         self.dirty.dedup();
+        out.subs.reserve(self.dirty.len());
         for &node in &self.dirty {
-            t.fold_node(node, self.subs[node as usize]);
-            self.subs[node as usize] = FNV_OFFSET;
+            let sub = std::mem::replace(&mut self.subs[node as usize], FNV_OFFSET);
+            out.subs.push((node, sub));
         }
         self.dirty.clear();
         if let Some(log) = &mut self.logs {
-            // Stable by node; per-node emission order preserved.
-            log.sort_by_key(|&(node, _)| node);
-            for (_, entry) in log.drain(..) {
-                t.push_entry(entry);
-            }
+            out.logs.append(log);
         }
-    }
-
-    /// End the current window without a transcript at hand: return the
-    /// dirty `(node, sub-digest)` pairs sorted by node id, plus rendered
-    /// records when recording. Shard workers use this to ship their
-    /// window folds to the coordinator, which merges all shards' pairs in
-    /// node-id order before folding — reproducing exactly what
-    /// [`Self::fold_into`] does in the sequential executor.
-    pub(crate) fn take_folds(&mut self) -> (Vec<(u32, u64)>, NodeLogs) {
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        let folds = self
-            .dirty
-            .drain(..)
-            .map(|node| {
-                let sub = self.subs[node as usize];
-                self.subs[node as usize] = FNV_OFFSET;
-                (node, sub)
-            })
-            .collect();
-        let logs = match &mut self.logs {
-            Some(log) => {
-                log.sort_by_key(|&(node, _)| node);
-                std::mem::take(log)
-            }
-            None => Vec::new(),
-        };
-        (folds, logs)
     }
 }
 
@@ -544,6 +555,13 @@ mod tests {
         }
     }
 
+    /// End `w`'s window and fold it into `t`, as a one-core run does.
+    fn fold(w: &mut WindowNotes, t: &mut Transcript) {
+        let mut folds = WindowFolds::default();
+        w.take_folds(&mut folds);
+        t.fold_window(&mut folds);
+    }
+
     /// Digest of timer records `(node, timer id)` noted in one window.
     fn digest_of(notes: &[(u32, u32)], record: bool) -> (u64, Option<Vec<String>>) {
         let mut t = Transcript::new(record);
@@ -551,7 +569,7 @@ mod tests {
         for &(node, id) in notes {
             w.note_timer(Tag::Timer, 5, node, id);
         }
-        w.fold_into(&mut t);
+        fold(&mut w, &mut t);
         (t.digest(), t.entries().map(|e| e.to_vec()))
     }
 
@@ -564,7 +582,7 @@ mod tests {
 
     /// Notes to *different* nodes in one window fold in node-id order, so
     /// the interleaving of distinct nodes' records doesn't matter — the
-    /// layout-invariance the sharded executor relies on.
+    /// layout-invariance sharded runs rely on.
     #[test]
     fn cross_node_interleaving_is_canonicalized() {
         let (a, _) = digest_of(&[(2, 1), (1, 2), (2, 3)], false);
@@ -580,13 +598,13 @@ mod tests {
         let mut w = WindowNotes::new(2, false);
         w.note_timer(Tag::Timer, 1, 0, 1);
         w.note_timer(Tag::Timer, 1, 0, 2);
-        w.fold_into(&mut t1);
+        fold(&mut w, &mut t1);
         let mut t2 = Transcript::new(false);
         let mut w = WindowNotes::new(2, false);
         w.note_timer(Tag::Timer, 1, 0, 1);
-        w.fold_into(&mut t2);
+        fold(&mut w, &mut t2);
         w.note_timer(Tag::Timer, 1, 0, 2);
-        w.fold_into(&mut t2);
+        fold(&mut w, &mut t2);
         assert_ne!(t1.digest(), t2.digest());
     }
 
@@ -649,24 +667,30 @@ mod tests {
         assert_eq!(digests.len(), Tag::ALL.len());
     }
 
-    /// `take_folds` (shard worker path) must reproduce `fold_into`
-    /// (sequential path) exactly when the pairs are folded in node order.
+    /// Records split over two cores (disjoint node sets) and reported in
+    /// either order fold exactly as one core holding every node does.
     #[test]
     fn worker_folds_match_sequential_folds() {
         let notes = [(3, 1), (1, 2), (3, 3), (0, 4)];
-        let (seq, _) = digest_of(&notes, false);
-        let mut t = Transcript::new(false);
-        let mut w = WindowNotes::new(8, false);
+        let (one_core, _) = digest_of(&notes, false);
+        let (mut a, mut b) = (WindowNotes::new(8, false), WindowNotes::new(8, false));
         for &(node, id) in &notes {
-            w.note_timer(Tag::Timer, 5, node, id);
+            let core = if node == 1 { &mut b } else { &mut a };
+            core.note_timer(Tag::Timer, 5, node, id);
         }
-        let (folds, logs) = w.take_folds();
-        assert!(logs.is_empty());
-        assert_eq!(folds.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [0, 1, 3]);
-        for (node, sub) in folds {
-            t.fold_node(node, sub);
-        }
-        assert_eq!(t.digest(), seq);
+        let mut folds = WindowFolds::default();
+        a.take_folds(&mut folds);
+        assert_eq!(
+            folds.subs.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
+            [0, 3]
+        );
+        let mut report = WindowFolds::default();
+        b.take_folds(&mut report);
+        folds.append(&mut report);
+        assert!(folds.logs.is_empty());
+        let mut t = Transcript::new(false);
+        t.fold_window(&mut folds);
+        assert_eq!(t.digest(), one_core);
     }
 
     /// Recording renders text next to the binary records but must not
@@ -688,8 +712,8 @@ mod tests {
         play(&mut streamed);
         play(&mut rendered);
         let (mut a, mut b) = (Transcript::new(false), Transcript::new(true));
-        streamed.fold_into(&mut a);
-        rendered.fold_into(&mut b);
+        fold(&mut streamed, &mut a);
+        fold(&mut rendered, &mut b);
         assert_eq!(a.digest(), b.digest());
         assert!(a.entries().is_none());
         let entries = b.entries().unwrap();
@@ -703,5 +727,44 @@ mod tests {
                 "M t=0 n=0 p=(0.0,0.5)"
             ]
         );
+    }
+
+    /// Absorbing a block into empty stats reproduces every counter and
+    /// per-kind entry; only `max_queue_depth` is left to the coordinator.
+    #[test]
+    fn absorb_merges_every_counter() {
+        let mut block = NetStats {
+            sent: 1,
+            delivered: 2,
+            dropped: 3,
+            duplicated: 4,
+            broadcasts: 5,
+            timers_set: 6,
+            timers_fired: 7,
+            retransmits: 8,
+            acks: 9,
+            rto_fired: 10,
+            non_neighbor_sends: 11,
+            link_lost: 12,
+            timers_abandoned: 13,
+            joins: 14,
+            leaves: 15,
+            crashes: 16,
+            drifts: 17,
+            reconvergences: 18,
+            max_queue_depth: 19,
+            per_kind: BTreeMap::from([(
+                "word",
+                KindCounts {
+                    sent: 20,
+                    delivered: 21,
+                    dropped: 22,
+                },
+            )]),
+        };
+        let mut merged = NetStats::default();
+        merged.absorb(&block);
+        block.max_queue_depth = 0;
+        assert_eq!(merged, block);
     }
 }

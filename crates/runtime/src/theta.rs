@@ -40,7 +40,7 @@
 
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
-use crate::runtime::Runtime;
+use crate::runtime::{run_to_quiescence, Runtime};
 use crate::stats::{DigestWriter, NetStats};
 use crate::{ChurnPlan, MemberState};
 use adhoc_geom::{Point, SectorPartition};
@@ -518,6 +518,27 @@ pub struct ThetaRun {
     pub edge_awareness: f64,
 }
 
+/// Run the hardened protocol over `points` under `plan` to quiescence.
+#[allow(clippy::too_many_arguments)]
+fn run_theta(
+    points: &[Point],
+    sectors: SectorPartition,
+    range: f64,
+    timing: ThetaTiming,
+    faults: FaultConfig,
+    seed: u64,
+    plan: &ChurnPlan,
+    threads: usize,
+) -> Runtime<ThetaNode> {
+    timing.validate(&faults);
+    let nodes = points
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| ThetaNode::new(i as u32, p, sectors, timing))
+        .collect();
+    run_to_quiescence(nodes, points, range, faults, seed, plan, threads)
+}
+
 /// Execute the hardened ΘALG protocol over faulty links.
 ///
 /// `sectors`/`range` are the ΘALG parameters (use
@@ -543,8 +564,8 @@ pub fn run_theta_protocol(
 }
 
 /// [`run_theta_protocol`] on an explicit number of worker threads
-/// (`<= 1` runs sequentially). The result — graph, stats, digest — is
-/// bit-identical at every thread count.
+/// (`<= 1` runs the inline one-shard core). The result — graph, stats,
+/// digest — is bit-identical at every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_theta_protocol_sharded(
     points: &[Point],
@@ -555,29 +576,8 @@ pub fn run_theta_protocol_sharded(
     seed: u64,
     threads: usize,
 ) -> ThetaRun {
-    timing.validate(&faults);
-    assert!(range.is_finite() && range > 0.0, "range must be positive");
-    if points.is_empty() {
-        return ThetaRun {
-            graph: SpatialGraph::new(Vec::new(), GraphBuilder::new(0).build(), range),
-            stats: NetStats::default(),
-            digest: crate::stats::Transcript::new(false).digest(),
-            finished_at: 0,
-            edge_awareness: 1.0,
-        };
-    }
-    let nodes: Vec<ThetaNode> = points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| ThetaNode::new(i as u32, p, sectors, timing))
-        .collect();
-    let mut rt = Runtime::new(nodes, points, range, faults, seed);
-    rt.start();
-    let finished_at = if threads > 1 {
-        rt.run_sharded(threads)
-    } else {
-        rt.run()
-    };
+    let plan = ChurnPlan::new();
+    let rt = run_theta(points, sectors, range, timing, faults, seed, &plan, threads);
 
     let mut builder = GraphBuilder::new(points.len());
     let mut admitted_total = 0u64;
@@ -595,7 +595,7 @@ pub fn run_theta_protocol_sharded(
         graph: SpatialGraph::new(points.to_vec(), builder.build(), range),
         stats: rt.stats().clone(),
         digest: rt.transcript().digest(),
-        finished_at,
+        finished_at: rt.now(),
         edge_awareness: if admitted_total == 0 {
             1.0
         } else {
@@ -613,7 +613,7 @@ pub struct ThetaChurnRun {
     pub graph: SpatialGraph,
     /// Message/timer/churn counters.
     pub stats: NetStats,
-    /// Replay digest — identical across executors and thread counts.
+    /// Replay digest — identical at every thread count.
     pub digest: u64,
     /// Virtual time at quiescence.
     pub finished_at: u64,
@@ -632,8 +632,8 @@ pub struct ThetaChurnRun {
 /// Execute the hardened ΘALG protocol under a [`ChurnPlan`]: nodes join,
 /// leave, crash, and drift mid-run; survivors re-converge locally (see
 /// the module docs). The result is scored against the direct offline
-/// construction on the final live positions and is bit-identical across
-/// executors (`threads <= 1` runs sequentially).
+/// construction on the final live positions and is bit-identical at
+/// every thread count (`threads <= 1` runs the inline one-shard core).
 #[allow(clippy::too_many_arguments)]
 pub fn run_theta_churn(
     points: &[Point],
@@ -645,32 +645,7 @@ pub fn run_theta_churn(
     plan: &ChurnPlan,
     threads: usize,
 ) -> ThetaChurnRun {
-    timing.validate(&faults);
-    assert!(range.is_finite() && range > 0.0, "range must be positive");
-    if points.is_empty() {
-        return ThetaChurnRun {
-            graph: SpatialGraph::new(Vec::new(), GraphBuilder::new(0).build(), range),
-            stats: NetStats::default(),
-            digest: crate::stats::Transcript::new(false).digest(),
-            finished_at: 0,
-            live: Vec::new(),
-            fidelity: 1.0,
-            repair_latency: 0,
-        };
-    }
-    let nodes: Vec<ThetaNode> = points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| ThetaNode::new(i as u32, p, sectors, timing))
-        .collect();
-    let mut rt = Runtime::new(nodes, points, range, faults, seed);
-    rt.set_churn_plan(plan);
-    rt.start();
-    let finished_at = if threads > 1 {
-        rt.run_sharded(threads)
-    } else {
-        rt.run()
-    };
+    let rt = run_theta(points, sectors, range, timing, faults, seed, plan, threads);
 
     let n = points.len();
     let live: Vec<u32> = (0..n as u32)
@@ -722,7 +697,7 @@ pub fn run_theta_churn(
         graph: SpatialGraph::new(positions, builder.build(), range),
         stats: rt.stats().clone(),
         digest: rt.transcript().digest(),
-        finished_at,
+        finished_at: rt.now(),
         fidelity: if live.is_empty() {
             1.0
         } else {
@@ -913,6 +888,22 @@ mod tests {
             0,
         );
         assert!(run.graph.is_empty());
+        assert_eq!(run.stats, NetStats::default());
+        assert_eq!(run.digest, crate::Transcript::new(false).digest());
+        assert_eq!((run.finished_at, run.edge_awareness), (0, 1.0));
+        let churn = run_theta_churn(
+            &[],
+            SectorPartition::with_max_angle(FRAC_PI_3),
+            1.0,
+            ThetaTiming::default(),
+            FaultConfig::ideal(),
+            0,
+            &ChurnPlan::new(),
+            2,
+        );
+        assert!(churn.graph.is_empty() && churn.live.is_empty());
+        assert_eq!(churn.digest, run.digest);
+        assert_eq!((churn.fidelity, churn.repair_latency), (1.0, 0));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! shows up here as a digest mismatch instead of a silent behavioural
 //! drift. The CI thread matrix reruns both suites under
 //! `ADHOC_SHARD_THREADS` 1 and 4 against the same fixtures, so they also
-//! pin sequential/sharded executor equivalence.
+//! pin the inline one-shard core and the threaded shards together.
 //!
 //! When a divergence is intentional (e.g. a new field in a message enum),
 //! regenerate the fixtures and review them like any other diff:

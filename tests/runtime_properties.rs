@@ -57,10 +57,10 @@ proptest! {
         prop_assert!(ga.conserved());
     }
 
-    /// The sharded executor is a drop-in replacement: for random
-    /// geometry, fault mix, and thread counts, sequential and sharded
-    /// runs produce identical digests, stats, and protocol outcomes for
-    /// both ΘALG and the gossip balancer.
+    /// Threaded shards are a drop-in replacement for the inline core: for
+    /// random geometry, fault mix, and thread counts, one-shard and
+    /// threaded runs produce identical digests, stats, and protocol
+    /// outcomes for both ΘALG and the gossip balancer.
     #[test]
     fn sharded_execution_is_digest_identical(
         raw in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 10..30),
@@ -113,7 +113,7 @@ proptest! {
 
     /// Churn is part of the determinism contract: for a random churn
     /// plan (joins, leaves, crashes, drift), random geometry, and random
-    /// fault mix, the sequential executor and the sharded executor at 2
+    /// fault mix, the inline one-shard core and the threaded shards at 2
     /// and 4 threads produce bit-identical digests, stats, protocol
     /// outcomes, and conservation ledgers — for both ported protocols.
     #[test]
@@ -182,8 +182,8 @@ proptest! {
 
     /// Lying nodes are part of the determinism contract too: for a random
     /// adversary plan (attack shape, compromised count, defense on/off),
-    /// random geometry, and random fault mix, the sequential executor and
-    /// the sharded executor at 2 and 4 threads produce bit-identical run
+    /// random geometry, and random fault mix, the inline one-shard core and
+    /// the threaded shards at 2 and 4 threads produce bit-identical run
     /// records in both delivery modes — and the extended conservation
     /// ledger balances exactly even while packets are being stolen and
     /// blackholed.
