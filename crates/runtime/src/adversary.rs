@@ -310,6 +310,10 @@ pub struct AdversarialActor<A: Actor> {
     seen: BTreeMap<u32, DedupWindow>,
     stolen: u64,
     blackholed: u64,
+    /// Effect buffer of a compromised node's inner actor, drained (and
+    /// released) after every callback; boxed on first use, so honest
+    /// nodes do not carry it.
+    ic: Option<Box<Ctx<A::Msg>>>,
 }
 
 impl<A> AdversarialActor<A>
@@ -330,6 +334,7 @@ where
             seen: BTreeMap::new(),
             stolen: 0,
             blackholed: 0,
+            ic: None,
         }
     }
 
@@ -377,33 +382,30 @@ where
     }
 
     /// Run one inner callback. Honest nodes use the runtime's own effect
-    /// buffer (exact pass-through); compromised ones get a private
-    /// buffer whose effects are forged on the way out.
+    /// buffer (exact pass-through); compromised ones use a private buffer,
+    /// kept across callbacks, whose effects are forged on the way out.
     fn deliver(&mut self, ctx: &mut Ctx<A::Msg>, f: impl FnOnce(&mut A, &mut Ctx<A::Msg>)) {
         if self.attacks.is_empty() {
             f(&mut self.inner, ctx);
             return;
         }
         let now = ctx.now();
-        let mut ic = Ctx::new(ctx.id(), now);
+        let mut ic = self.ic.take().unwrap_or_default();
+        ic.reset(ctx.id(), now);
         f(&mut self.inner, &mut ic);
-        let Ctx {
-            sends,
-            broadcasts,
-            timers,
-            ..
-        } = ic;
-        for (to, m) in sends {
+        for (to, m) in ic.sends.drain(..) {
             let m = self.forge(now, to, m);
             ctx.send(to, m);
         }
-        for m in broadcasts {
+        for m in ic.broadcasts.drain(..) {
             let m = self.forge(now, u32::MAX, m);
             ctx.broadcast(m);
         }
-        for (at, id) in timers {
+        for (at, id) in ic.timers.drain(..) {
             ctx.set_timer(at.saturating_sub(now), id);
         }
+        ic.release();
+        self.ic = Some(ic);
     }
 }
 

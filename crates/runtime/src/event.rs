@@ -170,11 +170,27 @@ const WORDS: usize = (HORIZON / 64) as usize;
 /// so that every ring slot does not end up holding the run's busiest tick.
 const BUCKET_KEEP: usize = 64;
 
+/// Smallest front that may be indexed instead of sorted in place; a
+/// front whose node ids span more than twice its length is sorted too,
+/// since its counting pass would walk mostly empty counts. Replaying the
+/// benchmark workloads' queue operations gave the same queue time for
+/// cuts anywhere from 16 to 256 events and from 1 to 8 times the length,
+/// while indexing the queue probe's sparse fronts (ids spanning 16 to 128
+/// times their length) made it over twice as slow.
+const DENSE_MIN: usize = 64;
+
 /// Calendar queue of events ordered by `(time, key)`.
 ///
 /// * `front` holds every event at time `now`, the earliest pending time.
-///   It is sorted by key in descending order (so `pop` takes the last
-///   element) lazily, on the first `pop` after it changed.
+///   It is ordered lazily, on the first `pop` after it changed, in one of
+///   two ways. A *dense* front (at least `DENSE_MIN` events whose node
+///   ids span at most twice their count, as in a broadcast round where
+///   most nodes act at once) gets a thin `index` of slots: one counting
+///   pass groups the slots by node, then each node's short run is sorted
+///   by key. Pops walk the index and leave the events in place, taking
+///   each one's kind and leaving a timer placeholder behind. Any other
+///   front is sorted by key in descending order, so `pop` takes the last
+///   element.
 /// * `ring[t % HORIZON]` holds the events of one tick `t` in
 ///   `(now, now + HORIZON)`, unsorted; `occupied` marks non-empty slots.
 /// * `far` is a heap of events scheduled at or past the horizon when they
@@ -182,11 +198,20 @@ const BUCKET_KEEP: usize = 64;
 ///
 /// An event earlier than `now` (a cross-shard delivery merged at an epoch
 /// barrier can precede a shard's next local event) rewinds the front.
+/// An indexed front drops its popped placeholders before it rewinds or
+/// takes a same-tick insert.
 #[derive(Debug, Clone)]
 pub struct EventQueue<M> {
     now: u64,
     front: Vec<Event<M>>,
     sorted: bool,
+    /// Pop order of an indexed front: slots of `front`, ascending by key.
+    /// Empty unless the front is indexed.
+    index: Vec<u32>,
+    /// Next position in `index`.
+    cursor: usize,
+    /// Per-node slot counts of the index's counting pass (scratch).
+    counts: Vec<u32>,
     ring: Vec<Vec<Event<M>>>,
     occupied: [u64; WORDS],
     far: BinaryHeap<Reverse<Event<M>>>,
@@ -199,6 +224,9 @@ impl<M> Default for EventQueue<M> {
             now: 0,
             front: Vec::new(),
             sorted: true,
+            index: Vec::new(),
+            cursor: 0,
+            counts: Vec::new(),
             ring: (0..HORIZON).map(|_| Vec::new()).collect(),
             occupied: [0; WORDS],
             far: BinaryHeap::new(),
@@ -227,6 +255,7 @@ impl<M> EventQueue<M> {
         }
         self.len += 1;
         if ev.time == self.now {
+            self.compact();
             self.front.push(ev);
             self.sorted = false;
         } else if ev.time - self.now < HORIZON {
@@ -241,18 +270,89 @@ impl<M> EventQueue<M> {
     /// The earliest event, or `None` when quiescent.
     pub fn pop(&mut self) -> Option<Event<M>> {
         if !self.sorted {
-            self.front.sort_unstable_by_key(|e| Reverse(e.key));
-            self.sorted = true;
+            self.order_front();
         }
-        let ev = self.front.pop()?;
+        let ev = if self.index.is_empty() {
+            self.front.pop()?
+        } else {
+            let e = &mut self.front[self.index[self.cursor] as usize];
+            self.cursor += 1;
+            let kind = std::mem::replace(&mut e.kind, EventKind::Timer { timer: 0 });
+            let ev = Event {
+                time: e.time,
+                key: e.key,
+                kind,
+            };
+            if self.cursor == self.index.len() {
+                self.front.clear();
+                self.index.clear();
+                self.cursor = 0;
+                release(&mut self.index, BUCKET_KEEP);
+                release(&mut self.counts, BUCKET_KEEP);
+            }
+            ev
+        };
         self.len -= 1;
         if self.front.is_empty() {
-            release(&mut self.front);
+            release(&mut self.front, BUCKET_KEEP);
             if self.len > 0 {
                 self.advance();
             }
         }
         Some(ev)
+    }
+
+    /// Order an unsorted front for popping: index it when dense, sort it
+    /// in place otherwise.
+    fn order_front(&mut self) {
+        self.sorted = true;
+        let Some((lo, span)) = dense_span(&self.front) else {
+            self.front.sort_unstable_by_key(|e| Reverse(e.key));
+            return;
+        };
+        let front = &self.front;
+        // Counting sort by node: `counts[k]` becomes the first index
+        // position of node `lo + k`, then, after placing, its end.
+        self.counts.clear();
+        self.counts.resize(span + 1, 0);
+        for e in front {
+            self.counts[(e.key.node - lo) as usize + 1] += 1;
+        }
+        for k in 1..=span {
+            self.counts[k] += self.counts[k - 1];
+        }
+        self.index.clear();
+        self.index.resize(front.len(), 0);
+        for (slot, e) in front.iter().enumerate() {
+            let at = &mut self.counts[(e.key.node - lo) as usize];
+            self.index[*at as usize] = slot as u32;
+            *at += 1;
+        }
+        let mut start = 0;
+        for &end in &self.counts[..span] {
+            let run = &mut self.index[start..end as usize];
+            if run.len() > 1 {
+                run.sort_unstable_by_key(|&slot| front[slot as usize].key);
+            }
+            start = end as usize;
+        }
+    }
+
+    /// Drop the popped placeholders of an indexed front, keeping the
+    /// pending events (unordered) so the front can change.
+    fn compact(&mut self) {
+        if self.index.is_empty() {
+            return;
+        }
+        let pending = &mut self.index[self.cursor..];
+        pending.sort_unstable();
+        for (to, &slot) in pending.iter().enumerate() {
+            self.front.swap(to, slot as usize);
+        }
+        self.front.truncate(pending.len());
+        self.index.clear();
+        self.cursor = 0;
+        self.sorted = false;
     }
 
     /// Firing time of the earliest event, if any.
@@ -320,6 +420,7 @@ impl<M> EventQueue<M> {
     /// the new horizon move to the overflow heap, and the old front
     /// becomes an ordinary pending tick.
     fn rewind(&mut self, time: u64) {
+        self.compact();
         let back = self.now - time;
         // Ring ticks are in (now, now + HORIZON); those at or past
         // time + HORIZON sit in the slots of ticks [time, now).
@@ -328,7 +429,7 @@ impl<M> EventQueue<M> {
             if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
                 self.far.extend(self.ring[slot].drain(..).map(Reverse));
-                release(&mut self.ring[slot]);
+                release(&mut self.ring[slot], BUCKET_KEEP);
             }
         }
         if back < HORIZON {
@@ -337,17 +438,36 @@ impl<M> EventQueue<M> {
             self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
             self.far.extend(self.front.drain(..).map(Reverse));
-            release(&mut self.front);
+            release(&mut self.front, BUCKET_KEEP);
         }
         self.now = time;
         self.sorted = true;
     }
 }
 
-/// Free a drained bucket's buffer if it grew past [`BUCKET_KEEP`].
-fn release<T>(bucket: &mut Vec<T>) {
-    if bucket.capacity() > BUCKET_KEEP {
-        *bucket = Vec::new();
+/// `(lowest node id, node-id span)` of a dense front; `None` for a front
+/// smaller than [`DENSE_MIN`] or whose ids span more than twice its
+/// length, found as soon as the ids seen so far span that much.
+fn dense_span<M>(front: &[Event<M>]) -> Option<(u32, usize)> {
+    if front.len() < DENSE_MIN {
+        return None;
+    }
+    let (mut lo, mut hi) = (u32::MAX, 0);
+    for e in front {
+        lo = lo.min(e.key.node);
+        hi = hi.max(e.key.node);
+        if (hi - lo) as usize >= 2 * front.len() {
+            return None;
+        }
+    }
+    Some((lo, (hi - lo) as usize + 1))
+}
+
+/// Free a drained buffer if it grew past `keep` entries ([`BUCKET_KEEP`]
+/// for the queue's own buffers).
+pub(crate) fn release<T>(buffer: &mut Vec<T>, keep: usize) {
+    if buffer.capacity() > keep {
+        *buffer = Vec::new();
     }
 }
 
@@ -508,6 +628,90 @@ mod tests {
         }
     }
 
+    /// Fronts large enough to be indexed pop in the `(time, key)` order of
+    /// a `BinaryHeap` too: dense bursts (≥ `DENSE_MIN` same-tick events
+    /// over at most 32 node ids) and sparse ones (ids up to 10 000), with
+    /// same-tick inserts and inserts earlier than the front (rewinds)
+    /// landing after some of an indexed front has been popped.
+    #[test]
+    fn indexed_fronts_match_binary_heap_reference() {
+        use rand::{Rng, SeedableRng};
+        type Rng8 = rand_chacha::ChaCha8Rng;
+        type Reference = BinaryHeap<Reverse<(u64, EventKey)>>;
+        let (mut indexed, mut same_tick, mut rewound) = (0, 0, 0);
+        for seed in 0..32 {
+            let mut rng = Rng8::seed_from_u64(seed);
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut reference = Reference::new();
+            let mut seq = 0u64;
+            let mut push =
+                |q: &mut EventQueue<u64>, r: &mut Reference, rng: &mut Rng8, time, ids| {
+                    let key = EventKey {
+                        node: rng.gen_range(0..ids),
+                        class: rng.gen_range(0..2),
+                        src: rng.gen_range(0..4),
+                        seq,
+                    };
+                    q.insert(Event {
+                        time,
+                        key,
+                        kind: EventKind::Deliver {
+                            msg: Payload::Own(seq),
+                        },
+                    });
+                    r.push(Reverse((time, key)));
+                    seq += 1;
+                };
+            let pops = |q: &mut EventQueue<u64>, r: &mut Reference, k| {
+                for _ in 0..k {
+                    let got = q.pop().map(|e| {
+                        // The payload left with its own event, not a placeholder.
+                        let EventKind::Deliver { msg } = &e.kind else {
+                            panic!("seed {seed}: popped a placeholder");
+                        };
+                        assert_eq!(*msg.get(), e.key.seq, "seed {seed}");
+                        (e.time, e.key)
+                    });
+                    assert_eq!(got, r.pop().map(|Reverse(e)| e), "seed {seed}");
+                }
+            };
+            let mut last = 0;
+            for round in 0..24 {
+                let time = last + rng.gen_range(0..4u64);
+                let ids = if round % 3 == 2 { 10_000 } else { 32 };
+                for _ in 0..rng.gen_range(DENSE_MIN..4 * DENSE_MIN) {
+                    push(&mut q, &mut reference, &mut rng, time, ids);
+                }
+                // Pop part of the front, so it is ordered (indexed when dense).
+                let front = q.peek_time().expect("pending");
+                pops(&mut q, &mut reference, rng.gen_range(1..DENSE_MIN));
+                if !q.index.is_empty() {
+                    indexed += 1;
+                    let now = q.peek_time().expect("an indexed front is not drained");
+                    if rng.gen_bool(0.5) {
+                        same_tick += 1;
+                        push(&mut q, &mut reference, &mut rng, now, ids);
+                    } else if now > 0 {
+                        rewound += 1;
+                        let back = rng.gen_range(now.saturating_sub(2 * HORIZON)..now);
+                        push(&mut q, &mut reference, &mut rng, back, ids);
+                    }
+                }
+                assert_eq!(q.len(), reference.len(), "seed {seed}");
+                pops(&mut q, &mut reference, rng.gen_range(0..2 * DENSE_MIN));
+                last = q.peek_time().unwrap_or(front);
+            }
+            let rest = reference.len();
+            pops(&mut q, &mut reference, rest);
+            assert!(q.is_empty() && q.pop().is_none(), "seed {seed}");
+        }
+        assert!(indexed > 100, "only {indexed} indexed fronts");
+        assert!(
+            same_tick > 50 && rewound > 50,
+            "{same_tick} same-tick inserts, {rewound} rewinds"
+        );
+    }
+
     /// Drained buckets return oversized buffers instead of recycling them:
     /// one busy tick per ring slot must not leave every slot holding a
     /// buffer the size of that tick.
@@ -539,6 +743,14 @@ mod tests {
         assert!(
             retained <= (HORIZON as usize + 1) * BUCKET_KEEP,
             "buckets retain {retained} slots after draining"
+        );
+        // Every busy tick was dense, so it was indexed; its index and
+        // count buffers are dropped with it.
+        while q.pop().is_some() {}
+        let (index, counts) = (q.index.capacity(), q.counts.capacity());
+        assert!(
+            index <= BUCKET_KEEP && counts <= BUCKET_KEEP,
+            "the index keeps {index} slots and the counts {counts} after draining"
         );
     }
 }

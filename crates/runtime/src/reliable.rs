@@ -248,6 +248,8 @@ pub struct Transport<M> {
     pending_retx: Vec<(u32, u64)>,
     /// Fire times of armed (uncancellable) retransmit timers.
     armed: BTreeSet<u64>,
+    /// Link state changed since the last flush.
+    changed: bool,
     counters: LinkCounters,
 }
 
@@ -261,6 +263,7 @@ impl<M: Message> Transport<M> {
             recv: BTreeMap::new(),
             pending_retx: Vec::new(),
             armed: BTreeSet::new(),
+            changed: false,
             counters: LinkCounters::default(),
         }
     }
@@ -282,6 +285,7 @@ impl<M: Message> Transport<M> {
     /// Accept one payload for reliable delivery to `to`. Transmitted at
     /// the next [`Transport::flush`], window permitting.
     pub fn queue(&mut self, to: u32, payload: M) {
+        self.changed = true;
         let ss = self.send.entry(to).or_default();
         let seq = ss.next_seq;
         ss.next_seq += 1;
@@ -291,6 +295,7 @@ impl<M: Message> Transport<M> {
     /// Process a cumulative ack from `peer` (standalone or piggybacked):
     /// settle every flight with sequence number below `ack`.
     pub fn on_ack(&mut self, peer: u32, ack: u64) {
+        self.changed = true;
         if let Some(ss) = self.send.get_mut(&peer) {
             ss.flights = ss.flights.split_off(&ack);
         }
@@ -300,6 +305,7 @@ impl<M: Message> Transport<M> {
     /// exactly once per sequence number; duplicates yield `None` (but
     /// still owe the peer an ack, so lost acks get repaired).
     pub fn on_data(&mut self, peer: u32, seq: u64, lo: u64, payload: M) -> Option<M> {
+        self.changed = true;
         let rs = self.recv.entry(peer).or_default();
         rs.ack_due = true;
         rs.advance_past_holes(lo);
@@ -321,27 +327,31 @@ impl<M: Message> Transport<M> {
     /// every overdue flight for retransmission (or abandon it once the
     /// retry budget is spent), backing its deadline off exponentially.
     pub fn on_timer(&mut self, now: u64) {
+        self.changed = true;
         self.counters.rto_fired += 1;
         self.armed.remove(&now);
-        for (&peer, ss) in self.send.iter_mut() {
-            let due: Vec<u64> = ss
-                .flights
-                .iter()
-                .filter(|(_, f)| f.deadline <= now)
-                .map(|(&s, _)| s)
-                .collect();
-            for seq in due {
-                let f = ss.flights.get_mut(&seq).expect("due flight exists");
-                if f.retries >= self.cfg.max_retries {
-                    ss.flights.remove(&seq);
-                    self.counters.gave_up += 1;
-                } else {
-                    f.retries += 1;
-                    f.deadline = now + self.cfg.backoff(f.retries);
-                    self.counters.retransmits += 1;
-                    self.pending_retx.push((peer, seq));
+        let Transport {
+            cfg,
+            send,
+            pending_retx,
+            counters,
+            ..
+        } = self;
+        for (&peer, ss) in send.iter_mut() {
+            ss.flights.retain(|&seq, f| {
+                if f.deadline > now {
+                    return true;
                 }
-            }
+                if f.retries >= cfg.max_retries {
+                    counters.gave_up += 1;
+                    return false;
+                }
+                f.retries += 1;
+                f.deadline = now + cfg.backoff(f.retries);
+                counters.retransmits += 1;
+                pending_retx.push((peer, seq));
+                true
+            });
         }
     }
 
@@ -353,6 +363,7 @@ impl<M: Message> Transport<M> {
     /// fire as no-ops when no flights remain.
     pub fn retain_peers(&mut self, peers: &[u32]) {
         debug_assert!(peers.is_sorted());
+        self.changed = true;
         self.send.retain(|peer, ss| {
             if peers.binary_search(peer).is_ok() {
                 return true;
@@ -372,7 +383,18 @@ impl<M: Message> Transport<M> {
     /// Emit everything owed to the wire: retransmissions, fresh data up
     /// to the window, standalone acks for peers with no reverse data, and
     /// the retransmit timer for the earliest outstanding deadline.
+    ///
+    /// A flush does work only after a state change: unless
+    /// [`queue`](Self::queue), [`on_ack`](Self::on_ack),
+    /// [`on_data`](Self::on_data), [`on_timer`](Self::on_timer) or
+    /// [`retain_peers`](Self::retain_peers) ran since the last flush, it
+    /// returns at once: the last flush left nothing owed and a timer armed
+    /// no later than the earliest deadline, so another would emit and arm
+    /// nothing.
     pub fn flush(&mut self, ctx: &mut Ctx<ReliableMsg<M>>) {
+        if !std::mem::take(&mut self.changed) {
+            return;
+        }
         let now = ctx.now();
         // Retransmissions (with refreshed piggyback acks).
         for (peer, seq) in std::mem::take(&mut self.pending_retx) {
@@ -461,6 +483,9 @@ pub struct ReliableActor<A: Actor, F> {
     inner: A,
     transport: Transport<A::Msg>,
     select: F,
+    /// Effect buffer of the inner actor, drained (and released) after
+    /// every callback.
+    ic: Ctx<A::Msg>,
 }
 
 impl<A, F> ReliableActor<A, F>
@@ -475,6 +500,7 @@ where
             inner,
             transport: Transport::new(cfg),
             select,
+            ic: Ctx::default(),
         }
     }
 
@@ -501,31 +527,26 @@ where
         ctx: &mut Ctx<ReliableMsg<A::Msg>>,
         f: impl FnOnce(&mut A, &mut Ctx<A::Msg>),
     ) {
-        let mut ic = Ctx::new(ctx.id(), ctx.now());
-        f(&mut self.inner, &mut ic);
-        let Ctx {
-            sends,
-            broadcasts,
-            timers,
-            ..
-        } = ic;
-        for (to, m) in sends {
+        self.ic.reset(ctx.id(), ctx.now());
+        f(&mut self.inner, &mut self.ic);
+        for (to, m) in self.ic.sends.drain(..) {
             if (self.select)(&m) {
                 self.transport.queue(to, m);
             } else {
                 ctx.send(to, ReliableMsg::Raw(m));
             }
         }
-        for m in broadcasts {
+        for m in self.ic.broadcasts.drain(..) {
             ctx.broadcast(ReliableMsg::Raw(m));
         }
-        for (at, id) in timers {
+        for (at, id) in self.ic.timers.drain(..) {
             assert_ne!(
                 id, RELIABLE_TIMER,
                 "timer id u32::MAX is reserved by the reliable transport"
             );
             ctx.set_timer(at.saturating_sub(ctx.now()), id);
         }
+        self.ic.release();
     }
 }
 
@@ -857,6 +878,79 @@ mod tests {
         t.retain_peers(&[2]);
         assert_eq!(t.pending_count(), 1, "peer 2's flight survives");
         assert_eq!(t.counters().gave_up, 3, "peer 1: 2 flights + 1 backlog");
+    }
+
+    /// The invariant `flush`'s early return rests on: right after a flush,
+    /// and until the next state change or retransmit timer, a flush has
+    /// nothing to emit and nothing to arm. Random `queue` / `on_data` /
+    /// `on_ack` / `on_timer` / `retain_peers` sequences, each followed by a
+    /// flush; a clone with the change flag forced on then flushes again at
+    /// a time before the next armed timer, and must stay silent.
+    #[test]
+    fn a_flush_after_a_flush_emits_nothing() {
+        use rand::{Rng, SeedableRng};
+        let cfg = ReliableConfig {
+            window: 3,
+            rto: 4,
+            rto_max: 16,
+            max_retries: 2,
+        };
+        let (mut sent, mut armed, mut retransmits) = (0, 0, 0);
+        for seed in 0..64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut t: Transport<Num> = Transport::new(cfg);
+            let mut timers = BTreeSet::new();
+            let mut now = 0;
+            for step in 0..400 {
+                let at = now + rng.gen_range(0..3u64);
+                let peer = rng.gen_range(1..5);
+                match timers.first() {
+                    // The runtime fires a node's timers before its deliveries.
+                    Some(&fire) if fire <= at => {
+                        timers.pop_first();
+                        now = fire;
+                        t.on_timer(now);
+                    }
+                    _ => {
+                        now = at;
+                        match rng.gen_range(0..4) {
+                            0 => t.queue(peer, Num(step)),
+                            1 => {
+                                let seq = rng.gen_range(0..24);
+                                let lo = rng.gen_range(0..=seq);
+                                t.on_data(peer, seq, lo, Num(step));
+                            }
+                            2 => t.on_ack(peer, rng.gen_range(0..24)),
+                            _ => {
+                                let keep: Vec<u32> = (1..5).filter(|_| rng.gen_bool(0.8)).collect();
+                                t.retain_peers(&keep);
+                            }
+                        }
+                    }
+                }
+                let mut ctx = Ctx::new(0, now);
+                t.flush(&mut ctx);
+                sent += ctx.sends.len();
+                armed += ctx.timers.len();
+                timers.extend(ctx.timers.iter().map(|&(at, _)| at));
+                let until = timers.first().map_or(now + 8, |&fire| fire - 1);
+                let mut witness = t.clone();
+                witness.changed = true;
+                let mut ctx = Ctx::new(0, rng.gen_range(now..=until));
+                witness.flush(&mut ctx);
+                assert!(
+                    ctx.sends.is_empty() && ctx.timers.is_empty(),
+                    "seed {seed}, step {step}: a repeated flush emitted {:?}, armed {:?}",
+                    ctx.sends,
+                    ctx.timers
+                );
+            }
+            retransmits += t.counters().retransmits;
+        }
+        assert!(
+            sent > 10_000 && armed > 1_000 && retransmits > 1_000,
+            "{sent} sends, {armed} timers, {retransmits} retransmits"
+        );
     }
 
     #[test]
