@@ -1,13 +1,15 @@
 //! Runtime bench (E20): the hardened ΘALG protocol and gossip-balancing
 //! over lossy links, at increasing loss rates — the cost of fault
 //! tolerance in retransmissions per run. Table rows: `report -- e20`.
+//! Thread scaling of the ΘALG run: `examples/shard_scaling.rs` (E20b).
 
 use adhoc_bench::uniform_points;
 use adhoc_core::ThetaAlg;
 use adhoc_routing::BalancingConfig;
 use adhoc_runtime::{
-    run_gossip_balancing, run_theta_churn, run_theta_protocol, run_theta_protocol_sharded,
-    uniform_workload, ChurnPlan, FaultConfig, GossipConfig, ReliableConfig, ThetaTiming,
+    run_gossip_balancing_adversarial, run_theta_churn, run_theta_protocol_sharded,
+    uniform_workload, AdversaryPlan, ChurnPlan, FaultConfig, GossipConfig, ReliableConfig,
+    ThetaTiming,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::f64::consts::FRAC_PI_3;
@@ -30,13 +32,14 @@ fn bench(c: &mut Criterion) {
             &loss,
             |b, &loss| {
                 b.iter(|| {
-                    black_box(run_theta_protocol(
+                    black_box(run_theta_protocol_sharded(
                         &points,
                         alg.sectors(),
                         range,
                         ThetaTiming::default(),
                         FaultConfig::lossy(loss),
                         7,
+                        1,
                     ))
                 });
             },
@@ -55,21 +58,26 @@ fn bench(c: &mut Criterion) {
         },
         steps,
     );
+    let (churn, adversary) = (ChurnPlan::new(), AdversaryPlan::new());
+    let gossip = |cfg, loss| {
+        run_gossip_balancing_adversarial(
+            &topo.spatial,
+            &dests,
+            cfg,
+            &workload,
+            FaultConfig::lossy(loss),
+            7,
+            &churn,
+            &adversary,
+            1,
+        )
+    };
     for loss in [0.0f64, 0.2] {
         g.bench_with_input(
             BenchmarkId::new("gossip_balancing", format!("loss={loss}")),
             &loss,
             |b, &loss| {
-                b.iter(|| {
-                    black_box(run_gossip_balancing(
-                        &topo.spatial,
-                        &dests,
-                        cfg,
-                        &workload,
-                        FaultConfig::lossy(loss),
-                        7,
-                    ))
-                });
+                b.iter(|| black_box(gossip(cfg, loss)));
             },
         );
         // Same runs with packet traffic on the reliable sublayer: the
@@ -78,16 +86,8 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("gossip_balancing_reliable", format!("loss={loss}")),
             &loss,
             |b, &loss| {
-                b.iter(|| {
-                    black_box(run_gossip_balancing(
-                        &topo.spatial,
-                        &dests,
-                        cfg.with_reliability(ReliableConfig::default()),
-                        &workload,
-                        FaultConfig::lossy(loss),
-                        7,
-                    ))
-                });
+                let reliable = cfg.with_reliability(ReliableConfig::default());
+                b.iter(|| black_box(gossip(reliable, loss)));
             },
         );
     }
@@ -113,52 +113,6 @@ fn bench(c: &mut Criterion) {
                         &plan,
                         1,
                     ))
-                });
-            },
-        );
-    }
-    g.finish();
-
-    // Sharded executor scaling: the same ΘALG run at a size where the
-    // event loop dominates, sequential vs run_sharded at increasing
-    // worker counts. Digest parity is asserted inside the harness, so
-    // this doubles as a stress test. (On a single-core host the sharded
-    // arms measure coordination overhead, not speedup.)
-    let mut g = c.benchmark_group("runtime_sharded");
-    g.measurement_time(std::time::Duration::from_secs(3));
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.sample_size(10);
-
-    let n = 1000;
-    let points = uniform_points(n, 23);
-    let range = adhoc_geom::default_max_range(n);
-    let alg = ThetaAlg::new(FRAC_PI_3, range);
-    let faults = FaultConfig::lossy(0.1);
-    let baseline = run_theta_protocol(
-        &points,
-        alg.sectors(),
-        range,
-        ThetaTiming::default(),
-        faults,
-        7,
-    );
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("theta_protocol_n1000", format!("threads={threads}")),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let run = run_theta_protocol_sharded(
-                        &points,
-                        alg.sectors(),
-                        range,
-                        ThetaTiming::default(),
-                        faults,
-                        7,
-                        threads,
-                    );
-                    assert_eq!(run.digest, baseline.digest, "parity at {threads} threads");
-                    black_box(run)
                 });
             },
         );

@@ -768,7 +768,7 @@ impl Actor for GossipNode {
 }
 
 /// Ledger and counters of one gossip-balancing run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GossipRun {
     /// Packets admitted across all nodes.
     pub injected: u64,
@@ -884,6 +884,10 @@ fn build_nodes(
     let n = topology.len();
     let mut schedules: Vec<Vec<(u64, u32)>> = vec![Vec::new(); n];
     for &(step, src, dest) in workload {
+        assert!(
+            (src as usize) < n,
+            "workload source {src} is not a node (n = {n})"
+        );
         schedules[src as usize].push((step, dest));
     }
     for s in schedules.iter_mut() {
@@ -941,26 +945,9 @@ where
     let range = topology.max_range.max(1e-9);
     let rt = run_to_quiescence(nodes, &topology.points, range, faults, seed, plan, threads);
     let mut run = GossipRun {
-        injected: 0,
-        admission_dropped: 0,
-        absorbed: 0,
-        overflow_dropped: 0,
-        link_lost: 0,
-        in_flight: 0,
-        gave_up: 0,
-        buffered: 0,
-        packets_sent: 0,
-        gossips_sent: 0,
-        stale_gossip_dropped: 0,
-        stolen: 0,
-        blackholed: 0,
-        implausible_gossip: 0,
-        equivocations: 0,
-        attests_sent: 0,
-        quarantines: 0,
-        quarantined_nodes: Vec::new(),
         stats: rt.stats().clone(),
         digest: rt.transcript().digest(),
+        ..GossipRun::default()
     };
     let (mut received, mut custody) = (0u64, 0u64);
     for stack in rt.nodes() {
@@ -1003,99 +990,38 @@ where
 }
 
 /// Run distributed `(T, γ)`-balancing over `topology` with height gossip,
-/// routing the given workload (triples from e.g. [`uniform_workload`]).
-/// All edges of the topology are active every step; edge cost is
-/// Euclidean length. With [`GossipConfig::with_reliability`], `Packet`
-/// traffic rides the per-link reliable sublayer while heights gossip
-/// stays best-effort.
-pub fn run_gossip_balancing(
-    topology: &SpatialGraph,
-    dests: &[u32],
-    cfg: GossipConfig,
-    workload: &[(u64, u32, u32)],
-    faults: FaultConfig,
-    seed: u64,
-) -> GossipRun {
-    run_gossip_balancing_sharded(
-        topology,
-        dests,
-        cfg,
-        workload,
-        faults,
-        seed,
-        crate::runtime::shard_threads_from_env(),
-    )
-}
-
-/// [`run_gossip_balancing`] on an explicit number of worker threads
-/// (`<= 1` runs the inline one-shard core). The result — ledger, stats,
-/// digest — is bit-identical at every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gossip_balancing_sharded(
-    topology: &SpatialGraph,
-    dests: &[u32],
-    cfg: GossipConfig,
-    workload: &[(u64, u32, u32)],
-    faults: FaultConfig,
-    seed: u64,
-    threads: usize,
-) -> GossipRun {
-    run_gossip_balancing_churn(
-        topology,
-        dests,
-        cfg,
-        workload,
-        faults,
-        seed,
-        &ChurnPlan::default(),
-        threads,
-    )
-}
-
-/// [`run_gossip_balancing_sharded`] under a [`ChurnPlan`]: nodes join,
-/// crash, gracefully leave, or drift mid-run, and every node's routing
-/// edge set follows the live radio topology (churn only erodes the input
-/// graph, never adds edges). The conservation ledger stays exact: a dead
-/// node's buffered packets stay `buffered`, copies in flight to it become
-/// `link_lost`, and the reliable sublayer's custody toward vanished peers
-/// is abandoned rather than retried forever. Bit-identical at every
-/// thread count. This is [`run_gossip_balancing_adversarial`] with an
-/// empty [`AdversaryPlan`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_gossip_balancing_churn(
-    topology: &SpatialGraph,
-    dests: &[u32],
-    cfg: GossipConfig,
-    workload: &[(u64, u32, u32)],
-    faults: FaultConfig,
-    seed: u64,
-    plan: &ChurnPlan,
-    threads: usize,
-) -> GossipRun {
-    run_gossip_balancing_adversarial(
-        topology,
-        dests,
-        cfg,
-        workload,
-        faults,
-        seed,
-        plan,
-        &AdversaryPlan::new(),
-        threads,
-    )
-}
-
-/// [`run_gossip_balancing_churn`] under an [`AdversaryPlan`]: the chosen
-/// nodes' wire traffic is corrupted by their scheduled [`Attack`]s
-/// through the [`AdversarialActor`] interposer, while every node
-/// (compromised ones included — the adversary owns radios, not code)
-/// runs the honest protocol, plus the defense layer when
-/// [`GossipConfig::with_defense`] is set. Packets the adversary eats are
-/// booked as `stolen`/`blackholed`, keeping the conservation ledger
-/// exact. In reliable mode the interposer sits *inside* the transport —
-/// a smart attacker acks what it steals, so reliability cannot recover
-/// eaten packets. With an empty plan the interposer passes every
-/// callback through unchanged. Bit-identical at every thread count.
+/// routing the given workload (triples from e.g. [`uniform_workload`]) to
+/// the absorbing nodes `dests` on `threads` worker threads (`<= 1` runs
+/// the inline one-shard core). All edges of the topology are active every
+/// step; edge cost is Euclidean length. The result — ledger, stats,
+/// digest — is bit-identical at every thread count. Pass
+/// `&ChurnPlan::new()` and `&AdversaryPlan::new()` for a static, honest
+/// network.
+///
+/// With [`GossipConfig::with_reliability`], `Packet` traffic rides the
+/// per-link reliable sublayer while heights gossip stays best-effort.
+///
+/// Under a [`ChurnPlan`] nodes join, crash, gracefully leave, or drift
+/// mid-run, and every node's routing edge set follows the live radio
+/// topology (churn only erodes the input graph, never adds edges). The
+/// conservation ledger stays exact: a dead node's buffered packets stay
+/// `buffered`, copies in flight to it become `link_lost`, and the
+/// reliable sublayer's custody toward vanished peers is abandoned rather
+/// than retried forever.
+///
+/// Under an [`AdversaryPlan`] the chosen nodes' wire traffic is corrupted
+/// by their scheduled [`Attack`]s through the [`AdversarialActor`]
+/// interposer, while every node (compromised ones included — the
+/// adversary owns radios, not code) runs the honest protocol, plus the
+/// defense layer when [`GossipConfig::with_defense`] is set. Packets the
+/// adversary eats are booked as `stolen`/`blackholed`, keeping the
+/// conservation ledger exact. In reliable mode the interposer sits
+/// *inside* the transport — a smart attacker acks what it steals, so
+/// reliability cannot recover eaten packets. With an empty plan the
+/// interposer passes every callback through unchanged.
+///
+/// Panics on an invalid configuration or plan, and on a destination or
+/// workload source that is not a node of `topology`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gossip_balancing_adversarial(
     topology: &SpatialGraph,
@@ -1111,7 +1037,11 @@ pub fn run_gossip_balancing_adversarial(
     cfg.validate();
     faults.validate();
     assert!(!dests.is_empty(), "need at least one destination");
-    adversary.validate(topology.len());
+    let n = topology.len();
+    for &d in dests {
+        assert!((d as usize) < n, "destination {d} is not a node (n = {n})");
+    }
+    adversary.validate(n);
     let nodes = build_nodes(topology, dests, cfg, workload);
     let dedup = cfg.reliability.is_none();
     let wrapped: Vec<AdversarialActor<GossipNode>> = nodes
@@ -1127,11 +1057,11 @@ pub fn run_gossip_balancing_adversarial(
         }),
         Some(rc) => {
             let select = needs_reliability as fn(&GossipMsg) -> bool;
-            let reliable = wrapped
+            let stacks = wrapped
                 .into_iter()
                 .map(|a| ReliableActor::new(a, rc, select));
             run_stack(
-                reliable.collect(),
+                stacks.collect(),
                 topology,
                 faults,
                 seed,
@@ -1235,6 +1165,21 @@ mod tests {
         )
     }
 
+    /// The harness on a static, honest network at the thread count CI
+    /// selects, so both of its legs cover these tests.
+    fn balance(
+        topo: &SpatialGraph,
+        dests: &[u32],
+        c: GossipConfig,
+        wl: &[(u64, u32, u32)],
+        faults: FaultConfig,
+        seed: u64,
+    ) -> GossipRun {
+        let (plan, adv) = (ChurnPlan::new(), AdversaryPlan::new());
+        let threads = crate::shard_threads_from_env();
+        run_gossip_balancing_adversarial(topo, dests, c, wl, faults, seed, &plan, &adv, threads)
+    }
+
     #[test]
     fn dedup_window_accepts_once_within_window() {
         let mut w = DedupWindow::default();
@@ -1297,7 +1242,7 @@ mod tests {
     fn delivers_and_conserves_on_ideal_links() {
         let topo = chain(4);
         let wl = uniform_workload(4, &[3], 400, 1, 1);
-        let run = run_gossip_balancing(&topo, &[3], cfg(400), &wl, FaultConfig::ideal(), 1);
+        let run = balance(&topo, &[3], cfg(400), &wl, FaultConfig::ideal(), 1);
         assert!(run.conserved(), "{run:?}");
         assert_eq!(run.link_lost, 0);
         assert_eq!(run.overflow_dropped, 0);
@@ -1313,7 +1258,7 @@ mod tests {
             duplicate_prob: 0.15,
             ..FaultConfig::ideal()
         };
-        let run = run_gossip_balancing(&topo, &[4], cfg(300), &wl, faults, 3);
+        let run = balance(&topo, &[4], cfg(300), &wl, faults, 3);
         assert!(run.conserved(), "{run:?}");
         assert!(run.link_lost > 0, "20% loss lost nothing?");
         assert!(run.absorbed > 0);
@@ -1325,7 +1270,7 @@ mod tests {
         let topo = chain(6);
         let wl = uniform_workload(6, &[5], 200, 1, 7);
         let faults = FaultConfig::lossy(0.1);
-        let go = |seed| run_gossip_balancing(&topo, &[5], cfg(200), &wl, faults, seed);
+        let go = |seed| balance(&topo, &[5], cfg(200), &wl, faults, seed);
         let (a, b) = (go(5), go(5));
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.absorbed, b.absorbed);
@@ -1340,7 +1285,7 @@ mod tests {
         let go = |refresh| {
             let mut c = cfg(600);
             c.refresh_every = refresh;
-            run_gossip_balancing(&topo, &[3], c, &wl, FaultConfig::ideal(), 9)
+            balance(&topo, &[3], c, &wl, FaultConfig::ideal(), 9)
         };
         let fresh = go(1);
         let stale = go(10);
@@ -1362,7 +1307,7 @@ mod tests {
         let topo = chain(4);
         let steps = 600u64;
         let wl = uniform_workload(4, &[3], steps, 1, 11);
-        let run = run_gossip_balancing(&topo, &[3], cfg(steps), &wl, FaultConfig::ideal(), 1);
+        let run = balance(&topo, &[3], cfg(steps), &wl, FaultConfig::ideal(), 1);
 
         let mut central = BalancingRouter::new(
             4,
@@ -1454,8 +1399,8 @@ mod tests {
         let steps = inject_steps + 250;
         let wl = uniform_workload(5, &[4], inject_steps, 1, 2);
         let faults = FaultConfig::lossy(0.3);
-        let ff = run_gossip_balancing(&topo, &[4], cfg(steps), &wl, faults, 3);
-        let rel = run_gossip_balancing(
+        let ff = balance(&topo, &[4], cfg(steps), &wl, faults, 3);
+        let rel = balance(
             &topo,
             &[4],
             cfg(steps).with_reliability(ReliableConfig::default()),
@@ -1495,7 +1440,7 @@ mod tests {
             delay: DelayDist::Uniform { min: 1, max: 5 },
         };
         let go = |seed| {
-            run_gossip_balancing(
+            balance(
                 &topo,
                 &[5],
                 cfg(200).with_reliability(ReliableConfig::default()),
@@ -1514,7 +1459,6 @@ mod tests {
 
     #[test]
     fn churn_conserves_the_packet_ledger_in_both_reliability_modes() {
-        use crate::ChurnPlan;
         // A mid-chain crash plus a graceful edge leave while traffic is
         // flowing: the ledger identity must survive dead buffers (stay
         // `buffered`), copies in flight to the dead node (`link_lost`),
@@ -1535,7 +1479,9 @@ mod tests {
         for rel in [None, Some(ReliableConfig::default())] {
             let mut c = cfg(250);
             c.reliability = rel;
-            let run = run_gossip_balancing_churn(&topo, &[5], c, &wl, faults, 9, &plan, 1);
+            let adv = AdversaryPlan::new();
+            let run =
+                run_gossip_balancing_adversarial(&topo, &[5], c, &wl, faults, 9, &plan, &adv, 1);
             assert!(run.conserved(), "reliability={rel:?}: {run:?}");
             assert_eq!(run.stats.crashes, 1);
             assert_eq!(run.stats.leaves, 1);
@@ -1547,7 +1493,6 @@ mod tests {
 
     #[test]
     fn churn_runs_are_digest_identical_across_thread_counts() {
-        use crate::ChurnPlan;
         let topo = chain(6);
         let wl = uniform_workload(6, &[5], 150, 1, 3);
         let plan = ChurnPlan::new()
@@ -1559,8 +1504,10 @@ mod tests {
             delay: DelayDist::Uniform { min: 1, max: 4 },
         };
         let c = cfg(200).with_reliability(ReliableConfig::default());
-        let go =
-            |threads| run_gossip_balancing_churn(&topo, &[5], c, &wl, faults, 5, &plan, threads);
+        let adv = AdversaryPlan::new();
+        let go = |threads| {
+            run_gossip_balancing_adversarial(&topo, &[5], c, &wl, faults, 5, &plan, &adv, threads)
+        };
         let seq = go(1);
         assert!(seq.conserved(), "{seq:?}");
         for threads in [2, 4] {
@@ -1569,32 +1516,28 @@ mod tests {
     }
 
     #[test]
-    fn empty_churn_plan_is_byte_identical_to_the_plain_runner() {
-        let topo = chain(5);
-        let wl = uniform_workload(5, &[4], 100, 1, 2);
-        let faults = FaultConfig::lossy(0.1);
-        let plain = run_gossip_balancing(&topo, &[4], cfg(100), &wl, faults, 4);
-        let churn = run_gossip_balancing_churn(
-            &topo,
-            &[4],
-            cfg(100),
-            &wl,
-            faults,
-            4,
-            &crate::ChurnPlan::default(),
-            1,
-        );
-        assert_eq!(plain, churn);
-    }
-
-    #[test]
     fn full_loss_delivers_nothing_but_stays_conserved() {
         let topo = chain(3);
         let wl = uniform_workload(3, &[2], 100, 1, 5);
-        let run = run_gossip_balancing(&topo, &[2], cfg(100), &wl, FaultConfig::lossy(1.0), 1);
+        let run = balance(&topo, &[2], cfg(100), &wl, FaultConfig::lossy(1.0), 1);
         assert!(run.conserved(), "{run:?}");
         // Packets injected at the destination itself still absorb.
         assert_eq!(run.absorbed + run.buffered + run.link_lost, run.injected);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 7 is not a node (n = 3)")]
+    fn a_destination_outside_the_topology_is_rejected() {
+        let topo = chain(3);
+        let wl = uniform_workload(3, &[2], 10, 1, 5);
+        balance(&topo, &[2, 7], cfg(10), &wl, FaultConfig::ideal(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "workload source 9 is not a node (n = 3)")]
+    fn a_workload_source_outside_the_topology_is_rejected() {
+        let topo = chain(3);
+        balance(&topo, &[2], cfg(10), &[(0, 9, 2)], FaultConfig::ideal(), 1);
     }
 
     // ------------------- Byzantine adversary & defense -------------------
@@ -1660,37 +1603,10 @@ mod tests {
             wl,
             faults,
             seed,
-            &crate::ChurnPlan::default(),
+            &ChurnPlan::new(),
             adv,
             threads,
         )
-    }
-
-    /// Satellite: an empty adversary plan is a true pass-through — the
-    /// whole run record matches the plain runner byte for byte, in both
-    /// fire-and-forget and reliable modes.
-    #[test]
-    fn empty_adversary_plan_is_byte_identical_to_the_plain_runner() {
-        let topo = chain(5);
-        let wl = uniform_workload(5, &[4], 100, 1, 2);
-        let faults = FaultConfig::lossy(0.1);
-        for c in [
-            cfg(100),
-            cfg(100).with_reliability(ReliableConfig::default()),
-        ] {
-            let plain = run_gossip_balancing_churn(
-                &topo,
-                &[4],
-                c,
-                &wl,
-                faults,
-                4,
-                &crate::ChurnPlan::default(),
-                1,
-            );
-            let adv = adversarial(&topo, &[4], c, &wl, faults, 4, &AdversaryPlan::default(), 1);
-            assert_eq!(plain, adv);
-        }
     }
 
     #[test]

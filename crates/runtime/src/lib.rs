@@ -21,12 +21,14 @@
 //! * [`theta`] — ΘALG's 3-round topology-control protocol, hardened with
 //!   per-round retransmission windows and acks so it reconstructs the
 //!   exact `𝒩` of the direct construction as long as the retransmit
-//!   budget outlasts the loss rate ([`run_theta_protocol`]);
+//!   budget outlasts the loss rate ([`run_theta_protocol_sharded`];
+//!   [`run_theta_churn`] adds churn and mobility);
 //! * [`gossip`] — the `(T,γ)`-balancing router with explicit height
-//!   gossip ([`run_gossip_balancing`]); the `StaleBalancingRouter`
-//!   ablation's refresh period becomes real, droppable control traffic,
-//!   and packet conservation is tracked as a ledger that stays exact
-//!   under loss and duplication.
+//!   gossip ([`run_gossip_balancing_adversarial`], which also takes churn
+//!   and adversary plans); the `StaleBalancingRouter` ablation's refresh
+//!   period becomes real, droppable control traffic, and packet
+//!   conservation is tracked as a ledger that stays exact under loss and
+//!   duplication.
 //!
 //! Between them sits [`reliable`] — a reusable per-link
 //! reliable-delivery sublayer ([`ReliableActor`] wraps any [`Actor`]):
@@ -55,15 +57,15 @@
 //!
 //! ```
 //! use adhoc_geom::{Point, SectorPartition};
-//! use adhoc_runtime::{run_theta_protocol, FaultConfig, ThetaTiming};
+//! use adhoc_runtime::{run_theta_protocol_sharded, FaultConfig, ThetaTiming};
 //!
 //! let points: Vec<Point> = (0..20)
 //!     .map(|i| Point::new((i % 5) as f64 * 0.2, (i / 5) as f64 * 0.2))
 //!     .collect();
 //! let sectors = SectorPartition::with_max_angle(std::f64::consts::FRAC_PI_3);
-//! let run = run_theta_protocol(
+//! let run = run_theta_protocol_sharded(
 //!     &points, sectors, 0.5, ThetaTiming::default(),
-//!     FaultConfig::lossy(0.1), 42,
+//!     FaultConfig::lossy(0.1), 42, 1, // seed 42, one thread
 //! );
 //! assert!(run.graph.graph.num_edges() > 0);
 //! assert!(run.stats.sent > 0);
@@ -88,8 +90,7 @@ pub use churn::{ChurnEntry, ChurnKind, ChurnPlan, MemberState};
 pub use event::{Event, EventKey, EventKind, EventQueue, Payload};
 pub use fault::{DelayDist, FaultConfig, TransmitOutcome};
 pub use gossip::{
-    run_gossip_balancing, run_gossip_balancing_adversarial, run_gossip_balancing_churn,
-    run_gossip_balancing_sharded, uniform_workload, DefenseConfig, GossipConfig, GossipMsg,
+    run_gossip_balancing_adversarial, uniform_workload, DefenseConfig, GossipConfig, GossipMsg,
     GossipNode, GossipRun,
 };
 pub use node::{Actor, Ctx, Message};
@@ -99,6 +100,6 @@ pub use reliable::{
 pub use runtime::{shard_threads_from_env, Runtime};
 pub use stats::{DigestWriter, KindCounts, NetStats, Transcript};
 pub use theta::{
-    edge_fidelity, run_theta_churn, run_theta_protocol, run_theta_protocol_sharded, ThetaChurnRun,
-    ThetaMsg, ThetaNode, ThetaRun, ThetaTiming,
+    edge_fidelity, run_theta_churn, run_theta_protocol_sharded, ThetaChurnRun, ThetaMsg, ThetaNode,
+    ThetaRun, ThetaTiming,
 };

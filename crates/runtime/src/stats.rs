@@ -34,8 +34,8 @@ pub struct NetStats {
     /// Timers fired.
     pub timers_fired: u64,
     /// Data retransmissions by the reliable-delivery sublayer. Folded in
-    /// by reliable-transport drivers (e.g. `run_gossip_balancing` with
-    /// reliability enabled); zero for best-effort-only runs.
+    /// by the harnesses that run it (`run_gossip_balancing_adversarial`
+    /// with reliability enabled); zero for best-effort-only runs.
     pub retransmits: u64,
     /// Standalone cumulative acks sent by the reliable sublayer
     /// (piggybacked acks ride data messages and are not counted here).

@@ -162,7 +162,6 @@ impl ThetaTiming {
 /// One ΘALG node as a local state machine.
 #[derive(Debug, Clone)]
 pub struct ThetaNode {
-    id: u32,
     pos: Point,
     sectors: SectorPartition,
     timing: ThetaTiming,
@@ -196,9 +195,8 @@ pub struct ThetaNode {
 }
 
 impl ThetaNode {
-    fn new(id: u32, pos: Point, sectors: SectorPartition, timing: ThetaTiming) -> Self {
+    fn new(pos: Point, sectors: SectorPartition, timing: ThetaTiming) -> Self {
         ThetaNode {
-            id,
             pos,
             sectors,
             timing,
@@ -503,10 +501,12 @@ impl Actor for ThetaNode {
 /// Result of one hardened-protocol execution.
 #[derive(Debug, Clone)]
 pub struct ThetaRun {
-    /// The reconstructed topology `𝒩` (union of admitted offers, exactly
-    /// as the direct construction defines it).
+    /// The reconstructed topology `𝒩` at quiescence: the union of the
+    /// admitted offers between live nodes (exactly as the direct
+    /// construction defines it), weighted by distance at the final
+    /// positions.
     pub graph: SpatialGraph,
-    /// Message/timer counters.
+    /// Message/timer/churn counters.
     pub stats: NetStats,
     /// Replay digest — equal digests ⇒ identical runs.
     pub digest: u64,
@@ -518,7 +518,10 @@ pub struct ThetaRun {
     pub edge_awareness: f64,
 }
 
-/// Run the hardened protocol over `points` under `plan` to quiescence.
+/// The common body of the ΘALG harnesses: run the hardened protocol over
+/// `points` under `plan` to quiescence and read `𝒩` off the live nodes
+/// at their final positions. Also returns the runtime, which churn runs
+/// score against the offline construction.
 #[allow(clippy::too_many_arguments)]
 fn run_theta(
     points: &[Point],
@@ -529,43 +532,51 @@ fn run_theta(
     seed: u64,
     plan: &ChurnPlan,
     threads: usize,
-) -> Runtime<ThetaNode> {
+) -> (ThetaRun, Runtime<ThetaNode>) {
     timing.validate(&faults);
     let nodes = points
         .iter()
-        .enumerate()
-        .map(|(i, &p)| ThetaNode::new(i as u32, p, sectors, timing))
+        .map(|&p| ThetaNode::new(p, sectors, timing))
         .collect();
-    run_to_quiescence(nodes, points, range, faults, seed, plan, threads)
+    let rt = run_to_quiescence(nodes, points, range, faults, seed, plan, threads);
+
+    // Liveness is read in place, not collected: on two threads that one
+    // extra allocation raised peak RSS from ~25 to 36–39 MiB for some
+    // inputs (n = 1000).
+    let alive = |u: u32| rt.member_state(u) == MemberState::Alive;
+    let positions = rt.positions();
+    let mut builder = GraphBuilder::new(points.len());
+    let (mut admitted, mut aware) = (0u64, 0u64);
+    for u in (0..points.len() as u32).filter(|&u| alive(u)) {
+        for &v in rt.node(u).admitted().iter().filter(|&&v| alive(v)) {
+            builder.add_edge(u, v, positions[u as usize].dist(positions[v as usize]));
+            admitted += 1;
+            if rt.node(v).connections_received().contains(&u) {
+                aware += 1;
+            }
+        }
+    }
+    let run = ThetaRun {
+        graph: SpatialGraph::new(positions.to_vec(), builder.build(), range),
+        stats: rt.stats().clone(),
+        digest: rt.transcript().digest(),
+        finished_at: rt.now(),
+        edge_awareness: if admitted == 0 {
+            1.0
+        } else {
+            aware as f64 / admitted as f64
+        },
+    };
+    (run, rt)
 }
 
-/// Execute the hardened ΘALG protocol over faulty links.
+/// Execute the hardened ΘALG protocol over faulty links on `threads`
+/// worker threads (`<= 1` runs the inline one-shard core).
 ///
 /// `sectors`/`range` are the ΘALG parameters (use
 /// `adhoc_core::ThetaAlg::sectors` for a `θ`-derived partition);
-/// `timing` sizes the round windows against the fault model.
-pub fn run_theta_protocol(
-    points: &[Point],
-    sectors: SectorPartition,
-    range: f64,
-    timing: ThetaTiming,
-    faults: FaultConfig,
-    seed: u64,
-) -> ThetaRun {
-    run_theta_protocol_sharded(
-        points,
-        sectors,
-        range,
-        timing,
-        faults,
-        seed,
-        crate::runtime::shard_threads_from_env(),
-    )
-}
-
-/// [`run_theta_protocol`] on an explicit number of worker threads
-/// (`<= 1` runs the inline one-shard core). The result — graph, stats,
-/// digest — is bit-identical at every thread count.
+/// `timing` sizes the round windows against the fault model. The result
+/// — graph, stats, digest — is bit-identical at every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_theta_protocol_sharded(
     points: &[Point],
@@ -577,46 +588,16 @@ pub fn run_theta_protocol_sharded(
     threads: usize,
 ) -> ThetaRun {
     let plan = ChurnPlan::new();
-    let rt = run_theta(points, sectors, range, timing, faults, seed, &plan, threads);
-
-    let mut builder = GraphBuilder::new(points.len());
-    let mut admitted_total = 0u64;
-    let mut aware = 0u64;
-    for node in rt.nodes() {
-        for &v in node.admitted() {
-            builder.add_edge(node.id, v, node.pos.dist(points[v as usize]));
-            admitted_total += 1;
-            if rt.node(v).connections_received().contains(&node.id) {
-                aware += 1;
-            }
-        }
-    }
-    ThetaRun {
-        graph: SpatialGraph::new(points.to_vec(), builder.build(), range),
-        stats: rt.stats().clone(),
-        digest: rt.transcript().digest(),
-        finished_at: rt.now(),
-        edge_awareness: if admitted_total == 0 {
-            1.0
-        } else {
-            aware as f64 / admitted_total as f64
-        },
-    }
+    run_theta(points, sectors, range, timing, faults, seed, &plan, threads).0
 }
 
 /// Result of one churn/mobility execution of the hardened protocol
 /// ([`run_theta_churn`]).
 #[derive(Debug, Clone)]
 pub struct ThetaChurnRun {
-    /// The live-node topology at quiescence: admitted edges between nodes
-    /// still alive, weighted by distance at the final positions.
-    pub graph: SpatialGraph,
-    /// Message/timer/churn counters.
-    pub stats: NetStats,
-    /// Replay digest — identical at every thread count.
-    pub digest: u64,
-    /// Virtual time at quiescence.
-    pub finished_at: u64,
+    /// The live-node topology, counters and digest, as a static run
+    /// reports them (identical to it when the plan is empty).
+    pub run: ThetaRun,
     /// Nodes alive at the end of the run (id order).
     pub live: Vec<u32>,
     /// Fraction of live nodes whose admitted set exactly matches the
@@ -645,40 +626,28 @@ pub fn run_theta_churn(
     plan: &ChurnPlan,
     threads: usize,
 ) -> ThetaChurnRun {
-    let rt = run_theta(points, sectors, range, timing, faults, seed, plan, threads);
-
-    let n = points.len();
-    let live: Vec<u32> = (0..n as u32)
+    let (run, rt) = run_theta(points, sectors, range, timing, faults, seed, plan, threads);
+    let live: Vec<u32> = (0..points.len() as u32)
         .filter(|&u| rt.member_state(u) == MemberState::Alive)
         .collect();
-    let positions = rt.positions().to_vec();
+    let positions = &run.graph.points;
     // Direct offline ΘALG on the final live topology: every live node
     // chooses the nearest live radio neighbor per sector, offers
     // transpose, and each node admits the nearest offer per sector.
-    let mut offers_off: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let nearest = |u: u32, candidates: &[u32]| {
+        let placed = candidates.iter().map(|&v| (v, positions[v as usize]));
+        nearest_per_sector_at(&sectors, positions[u as usize], placed)
+    };
+    let mut offers_off: Vec<Vec<u32>> = vec![Vec::new(); points.len()];
     for &u in &live {
-        let chosen = nearest_per_sector_at(
-            &sectors,
-            positions[u as usize],
-            rt.radio_neighbors(u)
-                .iter()
-                .map(|&v| (v, positions[v as usize])),
-        );
-        for &v in &chosen {
+        for v in nearest(u, rt.radio_neighbors(u)) {
             offers_off[v as usize].push(u);
         }
     }
     let mut matching = 0usize;
     let mut settled = 0u64;
-    let mut builder = GraphBuilder::new(n);
     for &u in &live {
-        let mut want = nearest_per_sector_at(
-            &sectors,
-            positions[u as usize],
-            offers_off[u as usize]
-                .iter()
-                .map(|&v| (v, positions[v as usize])),
-        );
+        let mut want = nearest(u, &offers_off[u as usize]);
         let node = rt.node(u);
         let mut got: Vec<u32> = node.admitted().to_vec();
         got.sort_unstable();
@@ -686,18 +655,9 @@ pub fn run_theta_churn(
         if got == want {
             matching += 1;
         }
-        for &v in node.admitted() {
-            if rt.member_state(v) == MemberState::Alive {
-                builder.add_edge(u, v, positions[u as usize].dist(positions[v as usize]));
-            }
-        }
         settled = settled.max(node.settled_at());
     }
     ThetaChurnRun {
-        graph: SpatialGraph::new(positions, builder.build(), range),
-        stats: rt.stats().clone(),
-        digest: rt.transcript().digest(),
-        finished_at: rt.now(),
         fidelity: if live.is_empty() {
             1.0
         } else {
@@ -705,6 +665,7 @@ pub fn run_theta_churn(
         },
         repair_latency: settled.saturating_sub(rt.last_churn_time()),
         live,
+        run,
     }
 }
 
@@ -758,6 +719,20 @@ mod tests {
         assert_eq!(digests.len(), msgs.len());
     }
 
+    /// The static harness at the thread count CI selects, so both of its
+    /// legs cover these tests.
+    fn protocol(
+        points: &[Point],
+        sectors: SectorPartition,
+        range: f64,
+        timing: ThetaTiming,
+        faults: FaultConfig,
+        seed: u64,
+    ) -> ThetaRun {
+        let threads = crate::shard_threads_from_env();
+        run_theta_protocol_sharded(points, sectors, range, timing, faults, seed, threads)
+    }
+
     fn uniform(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         (0..n)
@@ -772,7 +747,7 @@ mod tests {
             let range = 0.4;
             let alg = ThetaAlg::new(FRAC_PI_3, range);
             let direct = alg.build(&points);
-            let run = run_theta_protocol(
+            let run = protocol(
                 &points,
                 alg.sectors(),
                 range,
@@ -792,7 +767,7 @@ mod tests {
         let alg = ThetaAlg::new(FRAC_PI_3, range);
         let direct = alg.build(&points);
         for loss in [0.05, 0.1, 0.2] {
-            let run = run_theta_protocol(
+            let run = protocol(
                 &points,
                 alg.sectors(),
                 range,
@@ -819,7 +794,7 @@ mod tests {
             duplicate_prob: 0.2,
             delay: DelayDist::Uniform { min: 1, max: 8 },
         };
-        let run = run_theta_protocol(
+        let run = protocol(
             &points,
             alg.sectors(),
             range,
@@ -836,7 +811,7 @@ mod tests {
         let points = uniform(40, 3);
         let alg = ThetaAlg::new(FRAC_PI_3, 0.5);
         let go = |seed| {
-            run_theta_protocol(
+            protocol(
                 &points,
                 alg.sectors(),
                 0.5,
@@ -864,7 +839,7 @@ mod tests {
             round_len: 4,
             resend_every: 3,
         };
-        let run = run_theta_protocol(
+        let run = protocol(
             &points,
             alg.sectors(),
             range,
@@ -879,7 +854,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let run = run_theta_protocol(
+        let run = protocol(
             &[],
             SectorPartition::with_max_angle(FRAC_PI_3),
             1.0,
@@ -901,8 +876,8 @@ mod tests {
             &ChurnPlan::new(),
             2,
         );
-        assert!(churn.graph.is_empty() && churn.live.is_empty());
-        assert_eq!(churn.digest, run.digest);
+        assert!(churn.run.graph.is_empty() && churn.live.is_empty());
+        assert_eq!(churn.run.digest, run.digest);
         assert_eq!((churn.fidelity, churn.repair_latency), (1.0, 0));
     }
 
@@ -931,7 +906,7 @@ mod tests {
             &plan,
             1,
         );
-        assert_eq!(run.fidelity, 1.0, "run {:?}", run.stats);
+        assert_eq!(run.fidelity, 1.0, "run {:?}", run.run.stats);
         assert_eq!(run.live.len(), 39, "41 nodes − leaver − crasher");
         assert!(!run.live.contains(&7) && !run.live.contains(&11));
         assert!(run.live.contains(&40), "joiner must be live");
@@ -942,11 +917,11 @@ mod tests {
             run.repair_latency,
             3 * rl
         );
-        assert_eq!(run.stats.joins, 1);
-        assert_eq!(run.stats.leaves, 1);
-        assert_eq!(run.stats.crashes, 1);
-        assert_eq!(run.stats.drifts, 1);
-        assert!(run.stats.reconvergences > 0);
+        assert_eq!(run.run.stats.joins, 1);
+        assert_eq!(run.run.stats.leaves, 1);
+        assert_eq!(run.run.stats.crashes, 1);
+        assert_eq!(run.run.stats.drifts, 1);
+        assert!(run.run.stats.reconvergences > 0);
     }
 
     #[test]
@@ -970,7 +945,7 @@ mod tests {
             1,
         );
         assert_eq!(run.fidelity, 1.0, "10% loss must be absorbed by retries");
-        assert!(run.stats.dropped > 0);
+        assert!(run.run.stats.dropped > 0);
     }
 
     #[test]
@@ -1003,9 +978,9 @@ mod tests {
         let seq = go(1);
         for threads in [4, 8] {
             let sh = go(threads);
-            assert_eq!(sh.digest, seq.digest, "threads={threads}");
-            assert_eq!(sh.stats, seq.stats, "threads={threads}");
-            assert_eq!(sh.graph.graph, seq.graph.graph, "threads={threads}");
+            assert_eq!(sh.run.digest, seq.run.digest, "threads={threads}");
+            assert_eq!(sh.run.stats, seq.run.stats, "threads={threads}");
+            assert_eq!(sh.run.graph.graph, seq.run.graph.graph, "threads={threads}");
             assert_eq!(sh.fidelity, seq.fidelity, "threads={threads}");
             assert_eq!(sh.repair_latency, seq.repair_latency, "threads={threads}");
         }
@@ -1013,31 +988,44 @@ mod tests {
 
     #[test]
     fn empty_churn_plan_matches_plain_protocol_run() {
+        // Both harnesses share one body, so an empty plan must give the
+        // static result field for field, inline and on worker threads.
         let points = uniform(40, 3);
         let alg = ThetaAlg::new(FRAC_PI_3, 0.5);
         let faults = FaultConfig::lossy(0.15);
-        let plain = run_theta_protocol(
-            &points,
-            alg.sectors(),
-            0.5,
-            ThetaTiming::default(),
-            faults,
-            11,
-        );
-        let churn = run_theta_churn(
-            &points,
-            alg.sectors(),
-            0.5,
-            ThetaTiming::default(),
-            faults,
-            11,
-            &ChurnPlan::default(),
-            1,
-        );
-        assert_eq!(plain.digest, churn.digest);
-        assert_eq!(plain.graph.graph, churn.graph.graph);
-        assert_eq!(churn.live.len(), 40);
-        assert_eq!(churn.fidelity, 1.0);
+        for threads in [1, 2] {
+            let plain = run_theta_protocol_sharded(
+                &points,
+                alg.sectors(),
+                0.5,
+                ThetaTiming::default(),
+                faults,
+                11,
+                threads,
+            );
+            let churn = run_theta_churn(
+                &points,
+                alg.sectors(),
+                0.5,
+                ThetaTiming::default(),
+                faults,
+                11,
+                &ChurnPlan::default(),
+                threads,
+            );
+            let run = &churn.run;
+            assert_eq!(plain.graph.graph, run.graph.graph, "threads={threads}");
+            assert_eq!(plain.graph.points, run.graph.points, "threads={threads}");
+            assert_eq!(plain.stats, run.stats, "threads={threads}");
+            assert_eq!(plain.digest, run.digest, "threads={threads}");
+            assert_eq!(plain.finished_at, run.finished_at, "threads={threads}");
+            assert_eq!(
+                plain.edge_awareness, run.edge_awareness,
+                "threads={threads}"
+            );
+            assert_eq!(churn.live.len(), 40);
+            assert_eq!(churn.fidelity, 1.0);
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@ use adhoc_core::ThetaAlg;
 use adhoc_geom::distributions::NodeDistribution;
 use adhoc_routing::BalancingConfig;
 use adhoc_runtime::{
-    edge_fidelity, run_gossip_balancing, run_theta_protocol, uniform_workload, FaultConfig,
-    GossipConfig, GossipRun, ReliableConfig, ThetaTiming,
+    edge_fidelity, run_gossip_balancing_adversarial, run_theta_protocol_sharded,
+    shard_threads_from_env, uniform_workload, AdversaryPlan, ChurnPlan, FaultConfig, GossipConfig,
+    GossipRun, ReliableConfig, ThetaTiming,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,18 +57,21 @@ fn sweep(quick: bool) -> Vec<LossPoint> {
     let range = adhoc_geom::default_max_range(n);
     let alg = ThetaAlg::new(PI / 3.0, range);
     let direct = alg.build(&points);
+    let threads = shard_threads_from_env();
+    let (churn, adversary) = (ChurnPlan::new(), AdversaryPlan::new());
 
     LOSSES
         .iter()
         .map(|&loss| {
             let faults = FaultConfig::lossy(loss);
-            let theta = run_theta_protocol(
+            let theta = run_theta_protocol_sharded(
                 &points,
                 alg.sectors(),
                 range,
                 ThetaTiming::default(),
                 faults,
                 4242,
+                threads,
             );
 
             // Route over what the protocol actually built, under the same
@@ -83,8 +87,19 @@ fn sweep(quick: bool) -> Vec<LossPoint> {
                 },
                 steps,
             );
-            let gossip =
-                |cfg| run_gossip_balancing(&theta.graph, &dests, cfg, &workload, faults, 4242);
+            let gossip = |cfg| {
+                run_gossip_balancing_adversarial(
+                    &theta.graph,
+                    &dests,
+                    cfg,
+                    &workload,
+                    faults,
+                    4242,
+                    &churn,
+                    &adversary,
+                    threads,
+                )
+            };
 
             LossPoint {
                 loss,

@@ -28,9 +28,9 @@ use adhoc_geom::distributions::NodeDistribution;
 use adhoc_geom::Point;
 use adhoc_routing::BalancingConfig;
 use adhoc_runtime::{
-    run_gossip_balancing_churn, run_theta_churn, shard_threads_from_env, uniform_workload,
-    ChurnPlan, DelayDist, FaultConfig, GossipConfig, GossipRun, ReliableConfig, ThetaChurnRun,
-    ThetaTiming,
+    run_gossip_balancing_adversarial, run_theta_churn, shard_threads_from_env, uniform_workload,
+    AdversaryPlan, ChurnPlan, DelayDist, FaultConfig, GossipConfig, GossipRun, ReliableConfig,
+    ThetaChurnRun, ThetaTiming,
 };
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -131,7 +131,7 @@ fn sweep(quick: bool) -> Vec<ChurnPoint> {
                 steps,
             )
             .with_reliability(ReliableConfig::default());
-            let gossip = run_gossip_balancing_churn(
+            let gossip = run_gossip_balancing_adversarial(
                 &direct.spatial,
                 &dests,
                 cfg,
@@ -139,6 +139,7 @@ fn sweep(quick: bool) -> Vec<ChurnPoint> {
                 faults,
                 4242,
                 &plan,
+                &AdversaryPlan::new(),
                 threads,
             );
             out.push(ChurnPoint {
@@ -176,7 +177,7 @@ pub fn run(quick: bool) -> Table {
             p.theta.live.len().to_string(),
             f3(p.theta.fidelity),
             p.theta.repair_latency.to_string(),
-            p.theta.stats.reconvergences.to_string(),
+            p.theta.run.stats.reconvergences.to_string(),
             f3(p.gossip.delivery_rate()),
             p.gossip.link_lost.to_string(),
             p.gossip.conserved().to_string(),
@@ -208,7 +209,7 @@ pub fn golden_digests() -> Vec<(String, u64)> {
     for seed in [1u64, 2, 3] {
         for scenario in SCENARIOS {
             let plan = scenario_plan(scenario, n, true, 7_000 + seed);
-            let run = run_theta_churn(
+            let theta = run_theta_churn(
                 &points,
                 alg.sectors(),
                 range,
@@ -218,7 +219,7 @@ pub fn golden_digests() -> Vec<(String, u64)> {
                 &plan,
                 threads,
             );
-            out.push((format!("e21/{scenario}/s{seed}"), run.digest));
+            out.push((format!("e21/{scenario}/s{seed}"), theta.run.digest));
         }
     }
     out

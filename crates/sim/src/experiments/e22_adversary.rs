@@ -160,7 +160,7 @@ fn sweep(quick: bool) -> Vec<AdvPoint> {
                         (theta.fidelity - 1.0).abs() < f64::EPSILON,
                         "lossless re-convergence around excised nodes must be exact"
                     );
-                    Some(theta.stats.reconvergences)
+                    Some(theta.run.stats.reconvergences)
                 } else {
                     None
                 };

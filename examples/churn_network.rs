@@ -62,7 +62,7 @@ fn main() {
     );
 
     // -- Topology repair under churn -------------------------------------
-    let run = run_theta_churn(
+    let theta = run_theta_churn(
         &points,
         alg.sectors(),
         range,
@@ -73,17 +73,20 @@ fn main() {
         threads,
     );
     println!("ΘALG protocol over {n} nodes under churn:");
-    println!("  joins               {:>8}", run.stats.joins);
-    println!("  graceful leaves     {:>8}", run.stats.leaves);
-    println!("  crashes             {:>8}", run.stats.crashes);
-    println!("  drifts              {:>8}", run.stats.drifts);
-    println!("  local re-convergences{:>7}", run.stats.reconvergences);
-    println!("  live nodes at end   {:>8}", run.live.len());
-    println!("  messages sent       {:>8}", run.stats.sent);
-    println!("  in-flight to dead   {:>8}", run.stats.link_lost);
-    println!("  fidelity vs offline {:>8.3}", run.fidelity);
-    println!("  repair latency      {:>8}", run.repair_latency);
-    println!("  replay digest       {:>#8x}\n", run.digest);
+    println!("  joins               {:>8}", theta.run.stats.joins);
+    println!("  graceful leaves     {:>8}", theta.run.stats.leaves);
+    println!("  crashes             {:>8}", theta.run.stats.crashes);
+    println!("  drifts              {:>8}", theta.run.stats.drifts);
+    println!(
+        "  local re-convergences{:>7}",
+        theta.run.stats.reconvergences
+    );
+    println!("  live nodes at end   {:>8}", theta.live.len());
+    println!("  messages sent       {:>8}", theta.run.stats.sent);
+    println!("  in-flight to dead   {:>8}", theta.run.stats.link_lost);
+    println!("  fidelity vs offline {:>8.3}", theta.fidelity);
+    println!("  repair latency      {:>8}", theta.repair_latency);
+    println!("  replay digest       {:>#8x}\n", theta.run.digest);
 
     // The digest must be identical on the other executor — replaying the
     // same churn sequentially and sharded is the determinism contract.
@@ -99,7 +102,7 @@ fn main() {
         other_threads,
     );
     assert_eq!(
-        replay.digest, run.digest,
+        replay.run.digest, theta.run.digest,
         "sequential and sharded churn replays diverged"
     );
     println!("digest parity vs {other_threads}-thread executor: ok\n");
@@ -119,7 +122,7 @@ fn main() {
         steps,
     )
     .with_reliability(ReliableConfig::default());
-    let routed = run_gossip_balancing_churn(
+    let routed = run_gossip_balancing_adversarial(
         &direct.spatial,
         &dests,
         cfg,
@@ -127,6 +130,7 @@ fn main() {
         faults,
         seed,
         &plan,
+        &AdversaryPlan::new(),
         threads,
     );
     println!("reliable (T,γ)-balancing through the same churn, {steps} steps:");

@@ -99,8 +99,17 @@ fn main() {
             cfg.with_reliability(ReliableConfig::default()),
         ),
     ] {
-        let routed =
-            run_gossip_balancing_sharded(&run.graph, &dests, cfg, &workload, faults, seed, threads);
+        let routed = run_gossip_balancing_adversarial(
+            &run.graph,
+            &dests,
+            cfg,
+            &workload,
+            faults,
+            seed,
+            &ChurnPlan::new(),
+            &AdversaryPlan::new(),
+            threads,
+        );
         println!("(T,γ)-balancing with height gossip, {steps} steps, {mode}:");
         println!("  packets injected    {:>8}", routed.injected);
         println!(

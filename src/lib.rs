@@ -97,10 +97,9 @@ pub mod prelude {
         HoneycombRouter, InterferenceRouter, StaleBalancingRouter, TracedRouter,
     };
     pub use adhoc_runtime::{
-        edge_fidelity, run_gossip_balancing, run_gossip_balancing_adversarial,
-        run_gossip_balancing_churn, run_gossip_balancing_sharded, run_theta_churn,
-        run_theta_protocol, run_theta_protocol_sharded, uniform_workload, AdversaryPlan, Attack,
-        ChurnPlan, DefenseConfig, DelayDist, FaultConfig, GossipConfig, MemberState,
+        edge_fidelity, run_gossip_balancing_adversarial, run_theta_churn,
+        run_theta_protocol_sharded, shard_threads_from_env, uniform_workload, AdversaryPlan,
+        Attack, ChurnPlan, DefenseConfig, DelayDist, FaultConfig, GossipConfig, MemberState,
         ReliableConfig, Runtime, ThetaTiming,
     };
     pub use adhoc_sim::{build_schedule, run_balancing_on_schedule, ScenarioConfig, Workload};

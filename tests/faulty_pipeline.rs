@@ -15,16 +15,21 @@ fn points_to_topology_to_routing_under_loss() {
     let range = default_max_range(n);
     let alg = ThetaAlg::new(std::f64::consts::FRAC_PI_3, range);
     let faults = FaultConfig::lossy(0.1);
+    let threads = shard_threads_from_env();
+    let theta = || {
+        run_theta_protocol_sharded(
+            &points,
+            alg.sectors(),
+            range,
+            ThetaTiming::default(),
+            faults,
+            5,
+            threads,
+        )
+    };
 
     // Topology control over 10%-lossy links...
-    let run = run_theta_protocol(
-        &points,
-        alg.sectors(),
-        range,
-        ThetaTiming::default(),
-        faults,
-        5,
-    );
+    let run = theta();
     // ...reconstructs the exact direct 𝒩 (retransmit budget ≫ loss)...
     let direct = alg.build(&points);
     assert_eq!(direct.spatial.graph, run.graph.graph);
@@ -43,7 +48,13 @@ fn points_to_topology_to_routing_under_loss() {
         },
         steps,
     );
-    let routed = run_gossip_balancing(&run.graph, &dests, cfg, &workload, faults, 5);
+    let (churn, adversary) = (ChurnPlan::new(), AdversaryPlan::new());
+    let route = |graph: &SpatialGraph| {
+        run_gossip_balancing_adversarial(
+            graph, &dests, cfg, &workload, faults, 5, &churn, &adversary, threads,
+        )
+    };
+    let routed = route(&run.graph);
     assert!(routed.conserved(), "ledger must balance: {routed:?}");
     assert!(
         routed.absorbed > 50,
@@ -53,15 +64,8 @@ fn points_to_topology_to_routing_under_loss() {
     assert!(routed.link_lost > 0, "10% loss should cost some packets");
 
     // The whole pipeline is replayable: same seeds, same outcome.
-    let run2 = run_theta_protocol(
-        &points,
-        alg.sectors(),
-        range,
-        ThetaTiming::default(),
-        faults,
-        5,
-    );
-    let routed2 = run_gossip_balancing(&run2.graph, &dests, cfg, &workload, faults, 5);
+    let run2 = theta();
+    let routed2 = route(&run2.graph);
     assert_eq!(run.digest, run2.digest);
     assert_eq!(routed.digest, routed2.digest);
     assert_eq!(routed.absorbed, routed2.absorbed);

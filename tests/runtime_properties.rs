@@ -5,7 +5,25 @@
 //! budget).
 
 use adhoc_net::prelude::*;
+use adhoc_net::runtime::GossipRun;
 use proptest::prelude::*;
+
+/// The gossip harness on a static, honest network (no churn, no
+/// adversary) on `threads` worker threads.
+fn gossip(
+    graph: &SpatialGraph,
+    dests: &[u32],
+    cfg: GossipConfig,
+    wl: &[(u64, u32, u32)],
+    faults: FaultConfig,
+    seed: u64,
+    threads: usize,
+) -> GossipRun {
+    let (churn, adversary) = (ChurnPlan::new(), AdversaryPlan::new());
+    run_gossip_balancing_adversarial(
+        graph, dests, cfg, wl, faults, seed, &churn, &adversary, threads,
+    )
+}
 
 fn dedup_points(raw: &[(f64, f64)]) -> Vec<Point> {
     // Coincident points would make nearest-per-sector ties depend on ids
@@ -37,9 +55,14 @@ proptest! {
         let range = default_max_range(points.len());
         let sectors = SectorPartition::with_max_angle(std::f64::consts::FRAC_PI_3);
         let faults = FaultConfig::lossy(loss);
+        let threads = shard_threads_from_env();
+        let go = || {
+            run_theta_protocol_sharded(
+                &points, sectors, range, ThetaTiming::default(), faults, seed, threads,
+            )
+        };
 
-        let a = run_theta_protocol(&points, sectors, range, ThetaTiming::default(), faults, seed);
-        let b = run_theta_protocol(&points, sectors, range, ThetaTiming::default(), faults, seed);
+        let (a, b) = (go(), go());
         prop_assert_eq!(a.digest, b.digest);
         prop_assert_eq!(&a.stats, &b.stats);
         prop_assert_eq!(&a.graph.graph, &b.graph.graph);
@@ -50,8 +73,8 @@ proptest! {
             BalancingConfig { threshold: 0.5, gamma: 0.1, capacity: 20 },
             50,
         );
-        let ga = run_gossip_balancing(&a.graph, &dests, cfg, &wl, faults, seed);
-        let gb = run_gossip_balancing(&b.graph, &dests, cfg, &wl, faults, seed);
+        let ga = gossip(&a.graph, &dests, cfg, &wl, faults, seed, threads);
+        let gb = gossip(&b.graph, &dests, cfg, &wl, faults, seed, threads);
         prop_assert_eq!(ga.digest, gb.digest);
         prop_assert_eq!(ga.absorbed, gb.absorbed);
         prop_assert!(ga.conserved());
@@ -60,7 +83,9 @@ proptest! {
     /// Threaded shards are a drop-in replacement for the inline core: for
     /// random geometry, fault mix, and thread counts, one-shard and
     /// threaded runs produce identical digests, stats, and protocol
-    /// outcomes for both ΘALG and the gossip balancer.
+    /// outcomes for both ΘALG and the gossip balancer. The reference run
+    /// is always the inline core (`threads = 1`), whatever thread count
+    /// the environment selects.
     #[test]
     fn sharded_execution_is_digest_identical(
         raw in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 10..30),
@@ -78,10 +103,12 @@ proptest! {
             delay: DelayDist::Uniform { min: 1, max: 6 },
         };
 
-        let seq = run_theta_protocol(&points, sectors, range, ThetaTiming::default(), faults, seed);
-        let par = run_theta_protocol_sharded(
-            &points, sectors, range, ThetaTiming::default(), faults, seed, threads,
-        );
+        let go = |threads| {
+            run_theta_protocol_sharded(
+                &points, sectors, range, ThetaTiming::default(), faults, seed, threads,
+            )
+        };
+        let (seq, par) = (go(1), go(threads));
         prop_assert_eq!(seq.digest, par.digest, "theta digest diverged at {} threads", threads);
         prop_assert_eq!(&seq.stats, &par.stats);
         prop_assert_eq!(&seq.graph.graph, &par.graph.graph);
@@ -95,8 +122,8 @@ proptest! {
             60,
         );
         for cfg in [base, base.with_reliability(ReliableConfig::default())] {
-            let gs = run_gossip_balancing(&seq.graph, &dests, cfg, &wl, faults, seed);
-            let gp = run_gossip_balancing_sharded(&seq.graph, &dests, cfg, &wl, faults, seed, threads);
+            let gs = gossip(&seq.graph, &dests, cfg, &wl, faults, seed, 1);
+            let gp = gossip(&seq.graph, &dests, cfg, &wl, faults, seed, threads);
             prop_assert_eq!(
                 gs.digest, gp.digest,
                 "gossip digest diverged (reliable={}, threads={})",
@@ -143,13 +170,14 @@ proptest! {
             let par = run_theta_churn(
                 &points, sectors, range, ThetaTiming::default(), faults, seed, &plan, threads,
             );
-            prop_assert_eq!(seq.digest, par.digest, "theta churn digest diverged at {} threads", threads);
-            prop_assert_eq!(&seq.stats, &par.stats);
-            prop_assert_eq!(&seq.graph.graph, &par.graph.graph);
+            prop_assert_eq!(seq.run.digest, par.run.digest, "theta churn digest diverged at {} threads", threads);
+            prop_assert_eq!(&seq.run.stats, &par.run.stats);
+            prop_assert_eq!(&seq.run.graph.graph, &par.run.graph.graph);
             prop_assert_eq!(&seq.live, &par.live);
             prop_assert_eq!(seq.fidelity, par.fidelity);
             prop_assert_eq!(seq.repair_latency, par.repair_latency);
-            prop_assert_eq!(seq.finished_at, par.finished_at);
+            prop_assert_eq!(seq.run.finished_at, par.run.finished_at);
+            prop_assert_eq!(seq.run.edge_awareness, par.run.edge_awareness);
         }
 
         let graph = unit_disk_graph(&points, range);
@@ -159,8 +187,14 @@ proptest! {
             BalancingConfig { threshold: 0.5, gamma: 0.1, capacity: 20 },
             60,
         );
+        let honest = AdversaryPlan::new();
         for cfg in [base, base.with_reliability(ReliableConfig::default())] {
-            let gs = run_gossip_balancing_churn(&graph, &dests, cfg, &wl, faults, seed, &plan, 1);
+            let go = |threads| {
+                run_gossip_balancing_adversarial(
+                    &graph, &dests, cfg, &wl, faults, seed, &plan, &honest, threads,
+                )
+            };
+            let gs = go(1);
             prop_assert!(
                 gs.conserved(),
                 "churn ledger out of balance (reliable={}): {:?}",
@@ -168,9 +202,7 @@ proptest! {
                 gs
             );
             for threads in [2usize, 4] {
-                let gp = run_gossip_balancing_churn(
-                    &graph, &dests, cfg, &wl, faults, seed, &plan, threads,
-                );
+                let gp = go(threads);
                 prop_assert_eq!(
                     &gs, &gp,
                     "gossip churn run diverged (reliable={}, threads={})",
@@ -266,13 +298,14 @@ proptest! {
         let range = default_max_range(points.len());
         let alg = ThetaAlg::new(std::f64::consts::FRAC_PI_3, range);
         let direct = alg.build(&points);
-        let run = run_theta_protocol(
+        let run = run_theta_protocol_sharded(
             &points,
             alg.sectors(),
             range,
             ThetaTiming::default(),
             FaultConfig::lossy(loss),
             seed,
+            shard_threads_from_env(),
         );
         prop_assert_eq!(
             &direct.spatial.graph,
@@ -311,9 +344,10 @@ proptest! {
             BalancingConfig { threshold: 0.5, gamma: 0.1, capacity: 20 },
             inject_steps + 40,
         );
+        let threads = shard_threads_from_env();
         for cfg in [base, base.with_reliability(ReliableConfig::default())] {
-            let a = run_gossip_balancing(&graph, &dests, cfg, &wl, faults, seed);
-            let b = run_gossip_balancing(&graph, &dests, cfg, &wl, faults, seed);
+            let a = gossip(&graph, &dests, cfg, &wl, faults, seed, threads);
+            let b = gossip(&graph, &dests, cfg, &wl, faults, seed, threads);
             prop_assert!(
                 a.conserved(),
                 "ledger out of balance (reliable={}): {:?}",
