@@ -10,6 +10,8 @@
 //! That invariance is what lets a run split over several cores reproduce
 //! the one-core replay digest bit for bit.
 
+use crate::node::Message;
+use crate::stats::{message_digest, DigestWriter};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -73,18 +75,21 @@ impl EventKey {
 /// A delivery payload: owned for unicasts, reference-counted for
 /// broadcast fan-out so one broadcast costs one allocation instead of a
 /// deep clone per neighbor (the per-neighbor clones dominated large-run
-/// profiles). Transcript records digest and render the borrowed `M`
-/// ([`Payload::get`]), so replay digests cannot tell the two
-/// representations apart.
+/// profiles). Transcript records render the borrowed `M`
+/// ([`Payload::get`]) either way, but they digest the two
+/// representations differently (`Payload::digest_into`): a unicast
+/// writes its message's encoding, while every copy of a broadcast writes
+/// the one encoding digest taken when the broadcast left its sender, so
+/// a message is digested once however many neighbors it reaches.
 #[derive(Clone)]
 pub enum Payload<M> {
     /// A payload with a single addressee (unicast copy).
     Own(M),
-    /// One broadcast's payload, shared by every per-neighbor copy. The
-    /// last surviving copy unwraps the `Arc` and moves the message;
-    /// earlier copies clone at delivery time — so copies dropped by the
-    /// fault layer never pay for a clone at all.
-    Shared(Arc<M>),
+    /// One broadcast's payload and the digest of its encoding, shared by
+    /// every per-neighbor copy. The last surviving copy unwraps the `Arc`
+    /// and moves the message; earlier copies clone at delivery time — so
+    /// copies dropped by the fault layer never pay for a clone at all.
+    Shared(Arc<(M, u64)>),
 }
 
 impl<M> Payload<M> {
@@ -92,7 +97,7 @@ impl<M> Payload<M> {
     pub fn get(&self) -> &M {
         match self {
             Payload::Own(m) => m,
-            Payload::Shared(m) => m,
+            Payload::Shared(m) => &m.0,
         }
     }
 
@@ -103,7 +108,25 @@ impl<M> Payload<M> {
     {
         match self {
             Payload::Own(m) => m,
-            Payload::Shared(m) => Arc::try_unwrap(m).unwrap_or_else(|m| (*m).clone()),
+            Payload::Shared(m) => Arc::try_unwrap(m).map_or_else(|m| m.0.clone(), |(m, _)| m),
+        }
+    }
+}
+
+impl<M: Message> Payload<M> {
+    /// Share `msg` among a broadcast's copies, digesting its encoding
+    /// once here.
+    pub(crate) fn shared(msg: M) -> Self {
+        let digest = message_digest(&msg);
+        Payload::Shared(Arc::new((msg, digest)))
+    }
+
+    /// Write this copy's message into a transcript record: a unicast's
+    /// encoding, or a broadcast's encoding digest.
+    pub(crate) fn digest_into(&self, w: &mut DigestWriter) {
+        match self {
+            Payload::Own(m) => m.digest_into(w),
+            Payload::Shared(m) => w.u64(m.1),
         }
     }
 }

@@ -19,9 +19,10 @@
 //! Two protocols from the paper are ported onto the runtime:
 //!
 //! * [`theta`] — ΘALG's 3-round topology-control protocol, hardened with
-//!   per-round retransmission windows and acks so it reconstructs the
-//!   exact `𝒩` of the direct construction as long as the retransmit
-//!   budget outlasts the loss rate ([`run_theta_protocol_sharded`];
+//!   confirmed beaconing (a node beacons until every neighbor it heard
+//!   has heard it) and per-round retransmission windows with acks, so it
+//!   reconstructs the exact `𝒩` of the direct construction as long as
+//!   the windows outlast the loss rate ([`run_theta_protocol_sharded`];
 //!   [`run_theta_churn`] adds churn and mobility);
 //! * [`gossip`] — the `(T,γ)`-balancing router with explicit height
 //!   gossip ([`run_gossip_balancing_adversarial`], which also takes churn
@@ -100,6 +101,6 @@ pub use reliable::{
 pub use runtime::{shard_threads_from_env, Runtime};
 pub use stats::{DigestWriter, KindCounts, NetStats, Transcript};
 pub use theta::{
-    edge_fidelity, run_theta_churn, run_theta_protocol_sharded, ThetaChurnRun, ThetaMsg, ThetaNode,
-    ThetaRun, ThetaTiming,
+    edge_fidelity, run_theta_churn, run_theta_protocol_sharded, Beacon, ThetaChurnRun, ThetaMsg,
+    ThetaNode, ThetaRun, ThetaTiming,
 };

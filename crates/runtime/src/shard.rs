@@ -168,8 +168,7 @@ impl<A: Actor> Shard<A> {
                 match ev.kind {
                     EventKind::Deliver { msg } => {
                         self.stats.link_lost += 1;
-                        self.notes
-                            .note_msg(Tag::Lost, now, ev.key.src, node, msg.get());
+                        self.notes.note_msg(Tag::Lost, now, ev.key.src, node, &msg);
                     }
                     EventKind::Timer { timer } => {
                         self.stats.timers_abandoned += 1;
@@ -183,8 +182,7 @@ impl<A: Actor> Shard<A> {
                     let from = ev.key.src;
                     self.stats.delivered += 1;
                     self.kinds.get(msg.get().kind()).delivered += 1;
-                    self.notes
-                        .note_msg(Tag::Deliver, now, from, node, msg.get());
+                    self.notes.note_msg(Tag::Deliver, now, from, node, &msg);
                     self.callback(node, now, |a, ctx| a.on_message(ctx, from, msg.into_msg()));
                 }
                 EventKind::Timer { timer } => {
@@ -212,6 +210,7 @@ impl<A: Actor> Shard<A> {
         let (node, now) = (ctx.node, ctx.now());
         let total = self.slot.len() as u32;
         for (to, msg) in ctx.sends.drain(..) {
+            let msg = Payload::Own(msg);
             // The `G*` locality discipline: a nonexistent target is a
             // programming error; an in-plane but out-of-range one is
             // physically unreachable, so the copy is discarded and
@@ -226,18 +225,18 @@ impl<A: Actor> Shard<A> {
                 self.notes.note_msg(Tag::NonNeighbor, now, node, to, &msg);
                 continue;
             }
-            self.transmit_link(now, node, to, Payload::Own(msg));
+            self.transmit_link(now, node, to, msg);
         }
         for msg in ctx.broadcasts.drain(..) {
             self.stats.broadcasts += 1;
-            // One shared payload for the whole fan-out; fan-out order is
-            // the sorted neighbor list, so no locality check is needed.
-            // The row is indexed, not borrowed, because `transmit_link`
-            // takes the whole core.
-            let shared = Arc::new(msg);
+            // One shared payload, digested once, for the whole fan-out;
+            // fan-out order is the sorted neighbor list, so no locality
+            // check is needed. The row is indexed, not borrowed, because
+            // `transmit_link` takes the whole core.
+            let shared = Payload::shared(msg);
             for i in 0..self.radio.neighbors[node as usize].len() {
                 let to = self.radio.neighbors[node as usize][i];
-                self.transmit_link(now, node, to, Payload::Shared(shared.clone()));
+                self.transmit_link(now, node, to, shared.clone());
             }
         }
         for (at, timer) in ctx.timers.drain(..) {
@@ -260,7 +259,7 @@ impl<A: Actor> Shard<A> {
             TransmitOutcome::Dropped => {
                 self.stats.dropped += 1;
                 counts.dropped += 1;
-                self.notes.note_msg(Tag::Drop, now, from, to, msg.get());
+                self.notes.note_msg(Tag::Drop, now, from, to, &msg);
             }
             TransmitOutcome::Delivered(d) => {
                 let seq = link.copies;
@@ -776,6 +775,52 @@ mod tests {
         b.run_sharded(1);
         assert_eq!(a.transcript().digest(), b.transcript().digest());
         assert_eq!(a.stats(), b.stats());
+    }
+
+    /// A broadcast's payload is digested once when it leaves its sender,
+    /// not once per delivered copy.
+    #[test]
+    fn broadcast_payload_is_digested_once() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static DIGESTS: AtomicU64 = AtomicU64::new(0);
+
+        #[derive(Debug, Clone)]
+        struct Counted;
+
+        impl Message for Counted {
+            fn digest_into(&self, _w: &mut crate::DigestWriter) {
+                DIGESTS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        /// Node 0 broadcasts `BROADCASTS` times at start; the rest listen.
+        struct Shout(u32);
+
+        impl Actor for Shout {
+            type Msg = Counted;
+
+            fn on_start(&mut self, ctx: &mut Ctx<Counted>) {
+                if self.0 == 0 {
+                    for _ in 0..BROADCASTS {
+                        ctx.broadcast(Counted);
+                    }
+                }
+            }
+
+            fn on_message(&mut self, _ctx: &mut Ctx<Counted>, _from: u32, _msg: Counted) {}
+        }
+
+        const BROADCASTS: u64 = 3;
+        let k = 8u32;
+        let pts: Vec<Point> = (0..=k)
+            .map(|i| Point::new(0.01 * f64::from(i), 0.0))
+            .collect();
+        let nodes = (0..=k).map(Shout).collect();
+        let mut rt = Runtime::new(nodes, &pts, 1.0, FaultConfig::ideal(), 3);
+        rt.start();
+        rt.run();
+        assert_eq!(rt.stats().delivered, BROADCASTS * u64::from(k));
+        assert_eq!(DIGESTS.load(Ordering::Relaxed), BROADCASTS);
     }
 
     #[test]

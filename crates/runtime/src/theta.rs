@@ -4,8 +4,17 @@
 //! broadcast is heard. Here each round is a *time window* of `round_len`
 //! ticks and the protocol survives lossy links by retransmission:
 //!
-//! * **Round 1** `[0, L)` — every node rebroadcasts its `Position` every
-//!   `resend_every` ticks (unacknowledged flooding; receivers dedup).
+//! * **Round 1** `[0, L)` — confirmed beaconing. Every node broadcasts
+//!   `Position` [`Beacon`]s: its coordinates plus the ids it heard that
+//!   have not yet shown they heard it (*awaiting*) and the ids it owes an
+//!   "I heard you" (*mentioned*). A receiver listed in either learns that
+//!   the sender heard it. A node beacons every `resend_every` ticks until
+//!   it has sent a small floor of beacons and every node it heard has
+//!   listed it, then stops; a beacon from a new node, or one that lists
+//!   the receiver as awaiting, makes the receiver beacon again, stopped or
+//!   not. The first beacon leaves at a per-node offset in
+//!   `[1, resend_every]` (a hash of the id, so it is the same on every
+//!   run), which spreads the opening burst.
 //! * **Round 2** `[L, 2L)` — each node computes `N(u)` from the positions
 //!   it heard and sends `Neighborhood` to each chosen neighbor,
 //!   retransmitting until the matching `NbrAck` arrives or the window
@@ -14,11 +23,17 @@
 //!   sector and sends `Connection` (ack/retransmit again); the admitted
 //!   sets are exactly the edges of `𝒩`.
 //!
-//! With loss rate `p` and `k = round_len / resend_every` transmissions
-//! per message, a message misses its window with probability `pᵏ` — so
-//! for any fixed seed and moderate `p`, the reconstructed topology equals
-//! the direct `ThetaAlg::build` graph exactly; the test suite and
-//! experiment E20 assert this across loss rates.
+//! Round 1 is self-confirming: a node that heard a neighbor beacons until
+//! that neighbor lists it. So a one-sided miss (`u` heard `v`, `v` never
+//! heard `u`) needs every beacon `u` sends in the whole window lost on
+//! the link `u → v`, and a mutual miss needs every beacon of both sides
+//! lost — at least the floor each, and more wherever loss keeps
+//! neighbors asking. Rounds 2 and 3 retransmit until acknowledged, up to
+//! `k = round_len / resend_every` tries per message, so with loss rate
+//! `p` a message misses its window with probability `pᵏ`. For any fixed
+//! seed and moderate `p` the reconstructed topology therefore equals the
+//! direct `ThetaAlg::build` graph exactly; the test suite and experiments
+//! E20 and E21 assert this across loss rates.
 //!
 //! # Re-convergence under churn
 //!
@@ -26,26 +41,28 @@
 //! information, so when the neighborhood changes
 //! ([`Actor::on_neighborhood_change`]) the node re-runs the two-phase
 //! construction in a fresh **epoch** — state is retained for surviving
-//! neighbors (their positions and offers are still valid), the beacon /
-//! offer / admit rounds replay on a new `round_base`, and timers carry
-//! their epoch in the id so a stale round boundary can't fire into the
-//! new epoch. Two repair paths keep *settled* bystanders exact without
-//! restarting them: a node whose re-run drops a previously offered edge
-//! sends [`ThetaMsg::Retract`] (the receiver re-admits without it), and
-//! an offer arriving after a receiver settled triggers the same
-//! re-admission. [`run_theta_churn`] drives a [`ChurnPlan`] through the
-//! runtime and measures topology-repair latency — perturbation to the
-//! last admitted-set change — against the direct offline construction on
-//! the final live positions (experiment E21).
+//! neighbors (their positions and offers are still valid, and so is
+//! their confirmation that they heard this node, unless this node moved),
+//! the beacon / offer / admit rounds replay on a new `round_base`, and
+//! timers carry their epoch in the id so a stale round boundary can't
+//! fire into the new epoch. Two repair paths keep *settled* bystanders
+//! exact without restarting them: a node whose re-run drops a previously
+//! offered edge sends [`ThetaMsg::Retract`] (the receiver re-admits
+//! without it), and an offer arriving after a receiver settled triggers
+//! the same re-admission. [`run_theta_churn`] drives a [`ChurnPlan`]
+//! through the runtime and measures topology-repair latency —
+//! perturbation to the last admitted-set change — against the direct
+//! offline construction on the final live positions (experiment E21).
 
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
-use crate::runtime::{run_to_quiescence, Runtime};
+use crate::runtime::{run_to_quiescence, splitmix64, Runtime};
 use crate::stats::{DigestWriter, NetStats};
 use crate::{ChurnPlan, MemberState};
 use adhoc_geom::{Point, SectorPartition};
 use adhoc_graph::GraphBuilder;
 use adhoc_proximity::SpatialGraph;
+use std::sync::Arc;
 
 /// Timer-id bases used by [`ThetaNode`]; the full id is
 /// `epoch * 4 + base`, so a timer armed before a neighborhood change can
@@ -54,14 +71,46 @@ const TIMER_RESEND: u32 = 1;
 const TIMER_ROUND2: u32 = 2;
 const TIMER_ROUND3: u32 = 3;
 
+/// Beacons a node sends in each round-1 window before it may stop, even
+/// when every node it heard has already confirmed it. No floor from 1 to
+/// 4 lost an edge in a sweep over 0–30 % loss (EXPERIMENTS.md, E20c).
+/// Floors 2 and 3 sent the same beacons, and floor 1 saved about 2 % of
+/// the sends at 10 % loss; but at floor 1 two neighbors that hear nobody
+/// else may each beacon once, and miss each other with probability `p²`
+/// rather than `p⁴`.
+const BEACON_FLOOR: u32 = 2;
+
+/// A round-1 beacon: the sender's position and two sorted id lists kept
+/// in one boxed slice — first the *awaiting* ids (nodes the sender heard
+/// that have not yet shown they heard it), then the *mentioned* ids
+/// (other nodes the sender owes an "I heard you"). A node in either list
+/// knows the sender heard it.
+#[derive(Debug, PartialEq)]
+pub struct Beacon {
+    /// The sender's coordinates.
+    pos: Point,
+    ids: Box<[u32]>,
+    /// Length of the awaiting prefix of `ids`.
+    split: u32,
+}
+
+impl Beacon {
+    /// Nodes the sender heard that have not yet shown they heard it.
+    pub(crate) fn awaiting(&self) -> &[u32] {
+        &self.ids[..self.split as usize]
+    }
+
+    /// Other nodes the sender tells that it heard them.
+    pub(crate) fn mentioned(&self) -> &[u32] {
+        &self.ids[self.split as usize..]
+    }
+}
+
 /// Message alphabet of the hardened ΘALG protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ThetaMsg {
-    /// Round-1 position beacon.
-    Position {
-        /// The sender's coordinates.
-        pos: Point,
-    },
+    /// Round-1 position beacon, shared by every copy of a broadcast.
+    Position(Arc<Beacon>),
     /// Round-2 neighborhood offer: "you are in my `N(u)`".
     Neighborhood,
     /// Acknowledges a [`ThetaMsg::Neighborhood`].
@@ -80,7 +129,7 @@ pub enum ThetaMsg {
 impl Message for ThetaMsg {
     fn kind(&self) -> &'static str {
         match self {
-            ThetaMsg::Position { .. } => "position",
+            ThetaMsg::Position(_) => "position",
             ThetaMsg::Neighborhood => "neighborhood",
             ThetaMsg::NbrAck => "nbr-ack",
             ThetaMsg::Connection => "connection",
@@ -92,10 +141,16 @@ impl Message for ThetaMsg {
 
     fn digest_into(&self, w: &mut DigestWriter) {
         match self {
-            ThetaMsg::Position { pos } => {
+            ThetaMsg::Position(b) => {
                 w.u8(0);
-                w.f64(pos.x);
-                w.f64(pos.y);
+                w.f64(b.pos.x);
+                w.f64(b.pos.y);
+                for list in [b.awaiting(), b.mentioned()] {
+                    w.len_prefix(list.len());
+                    for &id in list {
+                        w.u32(id);
+                    }
+                }
             }
             ThetaMsg::Neighborhood => w.u8(1),
             ThetaMsg::NbrAck => w.u8(2),
@@ -128,7 +183,9 @@ pub struct ThetaTiming {
 }
 
 impl Default for ThetaTiming {
-    /// 64-tick rounds, retransmit every 4 ticks (16 tries per message).
+    /// 64-tick rounds, a beacon or retransmission every 4 ticks: room for
+    /// 16 tries per message, of which round 1 typically uses a few (it
+    /// stops once confirmed).
     fn default() -> Self {
         ThetaTiming {
             round_len: 64,
@@ -138,7 +195,9 @@ impl Default for ThetaTiming {
 }
 
 impl ThetaTiming {
-    /// Retransmission attempts available per message per round.
+    /// Most transmissions of one message a round window has room for:
+    /// the cap on a node's beacons in round 1 and on each offer's or
+    /// connection's retransmissions in rounds 2 and 3.
     pub fn budget(&self) -> u64 {
         self.round_len / self.resend_every.max(1)
     }
@@ -159,6 +218,18 @@ impl ThetaTiming {
     }
 }
 
+/// A node heard in round 1.
+#[derive(Debug, Clone, Copy)]
+struct Heard {
+    id: u32,
+    pos: Point,
+    /// It listed this node in a beacon: it knows this node heard it.
+    acked: bool,
+    /// It asked to be told this node heard it; the next beacon mentions
+    /// it.
+    owed: bool,
+}
+
 /// One ΘALG node as a local state machine.
 #[derive(Debug, Clone)]
 pub struct ThetaNode {
@@ -166,8 +237,12 @@ pub struct ThetaNode {
     sectors: SectorPartition,
     timing: ThetaTiming,
     phase: Phase,
-    /// Positions heard in round 1 (deduped by sender).
-    heard: Vec<(u32, Point)>,
+    /// Nodes heard in round 1, sorted by id.
+    heard: Vec<Heard>,
+    /// Beacons sent in the current epoch's round 1.
+    beacons: u32,
+    /// A beacon timer of the current epoch is pending.
+    beacon_armed: bool,
     /// Phase-1 output `N(u)`.
     chosen: Vec<u32>,
     /// Round-2 inbox: who offered me an edge (deduped).
@@ -202,6 +277,8 @@ impl ThetaNode {
             timing,
             phase: Phase::Positions,
             heard: Vec::new(),
+            beacons: 0,
+            beacon_armed: false,
             chosen: Vec::new(),
             offers: Vec::new(),
             admitted: Vec::new(),
@@ -238,7 +315,56 @@ impl ThetaNode {
 
     /// Position of a heard node, if its beacon ever arrived.
     fn heard_pos(&self, v: u32) -> Option<Point> {
-        self.heard.iter().find(|(u, _)| *u == v).map(|&(_, p)| p)
+        let i = self.heard.binary_search_by_key(&v, |h| h.id).ok()?;
+        Some(self.heard[i].pos)
+    }
+
+    /// Whether round 1 still needs a beacon from this node: it is below
+    /// the floor, a node it heard has not confirmed it, or it owes a
+    /// mention.
+    fn owes_beacon(&self) -> bool {
+        self.beacons < BEACON_FLOOR || self.heard.iter().any(|h| !h.acked || h.owed)
+    }
+
+    /// Broadcast a beacon and settle every owed mention.
+    fn beacon(&mut self, ctx: &mut Ctx<ThetaMsg>) {
+        let awaiting = |h: &&Heard| !h.acked;
+        let mentioned = |h: &&Heard| h.acked && h.owed;
+        let split = self.heard.iter().filter(awaiting).count();
+        let mut ids = Vec::with_capacity(split + self.heard.iter().filter(mentioned).count());
+        ids.extend(self.heard.iter().filter(awaiting).map(|h| h.id));
+        ids.extend(self.heard.iter().filter(mentioned).map(|h| h.id));
+        let beacon = Beacon {
+            pos: self.pos,
+            ids: ids.into_boxed_slice(),
+            split: split as u32,
+        };
+        ctx.broadcast(ThetaMsg::Position(Arc::new(beacon)));
+        for h in &mut self.heard {
+            h.owed = false;
+        }
+        self.beacons += 1;
+    }
+
+    /// Arm the beacon timer `delay` ticks out, unless one is pending or
+    /// round 1 ends first.
+    fn arm_beacon(&mut self, ctx: &mut Ctx<ThetaMsg>, delay: u64) {
+        if !self.beacon_armed && ctx.now() + delay < self.round_base + self.timing.round_len {
+            ctx.set_timer(delay, self.tid(TIMER_RESEND));
+            self.beacon_armed = true;
+        }
+    }
+
+    /// Open the current epoch's three rounds at `round_base`: the first
+    /// beacon at a per-node offset in `[1, resend_every]`, then the round
+    /// boundaries.
+    fn start_rounds(&mut self, ctx: &mut Ctx<ThetaMsg>) {
+        let (l, every) = (self.timing.round_len, self.timing.resend_every);
+        self.beacons = 0;
+        self.beacon_armed = false;
+        self.arm_beacon(ctx, 1 + splitmix64(u64::from(ctx.id())) % every);
+        ctx.set_timer(l, self.tid(TIMER_ROUND2));
+        ctx.set_timer(2 * l, self.tid(TIMER_ROUND3));
     }
 
     /// Nearest heard node per sector — identical tie-breaking to the
@@ -326,22 +452,38 @@ impl Actor for ThetaNode {
     type Msg = ThetaMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<ThetaMsg>) {
-        let l = self.timing.round_len;
-        ctx.broadcast(ThetaMsg::Position { pos: self.pos });
-        ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
-        ctx.set_timer(l, self.tid(TIMER_ROUND2));
-        ctx.set_timer(2 * l, self.tid(TIMER_ROUND3));
+        self.start_rounds(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<ThetaMsg>, from: u32, msg: ThetaMsg) {
         match msg {
-            ThetaMsg::Position { pos } => {
+            ThetaMsg::Position(b) => {
+                let me = ctx.id();
+                let asked = b.awaiting().binary_search(&me).is_ok();
+                let (i, new) = match self.heard.binary_search_by_key(&from, |h| h.id) {
+                    Ok(i) => (i, false),
+                    Err(i) => {
+                        let h = Heard {
+                            id: from,
+                            pos: b.pos,
+                            acked: false,
+                            owed: false,
+                        };
+                        self.heard.insert(i, h);
+                        (i, true)
+                    }
+                };
+                let h = &mut self.heard[i];
                 // Upsert: a re-beaconing drifter overwrites its old
-                // coordinates (no-op for a repeated static beacon).
-                if let Some(entry) = self.heard.iter_mut().find(|(u, _)| *u == from) {
-                    entry.1 = pos;
-                } else {
-                    self.heard.push((from, pos));
+                // coordinates.
+                h.pos = b.pos;
+                h.acked |= asked || b.mentioned().binary_search(&me).is_ok();
+                // A new node, or one still waiting to hear that this node
+                // heard it, is owed a mention — but only while this node
+                // is beaconing at all.
+                if (new || asked) && self.phase == Phase::Positions {
+                    h.owed = true;
+                    self.arm_beacon(ctx, self.timing.resend_every);
                 }
             }
             ThetaMsg::Neighborhood => {
@@ -387,7 +529,8 @@ impl Actor for ThetaNode {
         match timer % 4 {
             TIMER_ROUND2 => {
                 self.phase = Phase::Offers;
-                let new_chosen = self.nearest_per_sector(self.heard.iter().copied());
+                let heard = self.heard.iter().map(|h| (h.id, h.pos));
+                let new_chosen = self.nearest_per_sector(heard);
                 // Offers from a previous epoch that the re-run no longer
                 // makes are withdrawn so settled receivers re-admit.
                 let retracts: Vec<u32> = self
@@ -415,7 +558,7 @@ impl Actor for ThetaNode {
                 // Position beacon never arrived cannot be placed in a
                 // sector; it is skipped (the lossless protocol can't hit
                 // this: an offer implies the sender heard us, and we
-                // retransmitted our beacon all round).
+                // beaconed until it said so).
                 let offers = std::mem::take(&mut self.offers);
                 self.admitted = self.nearest_per_sector(
                     offers
@@ -435,8 +578,13 @@ impl Actor for ThetaNode {
             }
             TIMER_RESEND => match self.phase {
                 Phase::Positions => {
-                    ctx.broadcast(ThetaMsg::Position { pos: self.pos });
-                    self.rearm(ctx, self.round_base + l);
+                    self.beacon_armed = false;
+                    if self.owes_beacon() {
+                        self.beacon(ctx);
+                    }
+                    if self.owes_beacon() {
+                        self.arm_beacon(ctx, self.timing.resend_every);
+                    }
                 }
                 Phase::Offers => {
                     for &v in &self.unacked_nbr {
@@ -466,14 +614,24 @@ impl Actor for ThetaNode {
     }
 
     fn on_neighborhood_change(&mut self, ctx: &mut Ctx<ThetaMsg>, neighbors: &[u32], pos: Point) {
+        let moved = pos != self.pos;
         self.pos = pos;
         self.epoch += 1;
         self.round_base = ctx.now();
         // Keep what is still valid: surviving neighbors' positions and
         // offers carry over (a drifter's position is refreshed by its
-        // round-1 beacon upsert); everything else re-derives.
+        // round-1 beacon upsert); everything else re-derives. So do their
+        // confirmations that they heard this node — a settled neighbor
+        // this change did not reach never answers, and this node would
+        // beacon for it until the window closed — unless this node moved,
+        // and every neighbor must hear it again.
         self.heard
-            .retain(|&(v, _)| neighbors.binary_search(&v).is_ok());
+            .retain(|h| neighbors.binary_search(&h.id).is_ok());
+        if moved {
+            for h in &mut self.heard {
+                h.acked = false;
+            }
+        }
         self.chosen.retain(|&v| neighbors.binary_search(&v).is_ok());
         self.offers.retain(|&v| neighbors.binary_search(&v).is_ok());
         self.admitted
@@ -490,11 +648,7 @@ impl Actor for ThetaNode {
             self.settled_at = ctx.now();
             return;
         }
-        let l = self.timing.round_len;
-        ctx.broadcast(ThetaMsg::Position { pos: self.pos });
-        ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
-        ctx.set_timer(l, self.tid(TIMER_ROUND2));
-        ctx.set_timer(2 * l, self.tid(TIMER_ROUND3));
+        self.start_rounds(ctx);
     }
 }
 
@@ -693,21 +847,36 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use std::f64::consts::FRAC_PI_3;
 
+    /// A beacon from `(x, y)` with the given awaiting and mentioned ids.
+    fn beacon(x: f64, y: f64, awaiting: &[u32], mentioned: &[u32]) -> ThetaMsg {
+        ThetaMsg::Position(Arc::new(Beacon {
+            pos: Point::new(x, y),
+            ids: [awaiting, mentioned].concat().into_boxed_slice(),
+            split: awaiting.len() as u32,
+        }))
+    }
+
     /// Every variant and every field of a ΘALG message changes its digest
-    /// encoding (coordinates by bit pattern, so even `-0.0 ≠ 0.0`).
+    /// encoding (coordinates by bit pattern, so even `-0.0 ≠ 0.0`; each
+    /// beacon list, and which side of the split an id is on).
     #[test]
     fn digest_encoding_separates_variants_and_fields() {
         use crate::stats::message_digest;
         use std::collections::BTreeSet;
-        let at = |x, y| ThetaMsg::Position {
-            pos: Point::new(x, y),
-        };
+        let at = |x, y| beacon(x, y, &[], &[]);
         let msgs = [
             at(0.25, 0.5),
             at(0.75, 0.5),
             at(0.25, 0.75),
             at(0.0, 0.5),
             at(-0.0, 0.5),
+            beacon(0.25, 0.5, &[3], &[]),
+            beacon(0.25, 0.5, &[4], &[]),
+            beacon(0.25, 0.5, &[], &[3]),
+            beacon(0.25, 0.5, &[], &[4]),
+            beacon(0.25, 0.5, &[3, 7], &[9]),
+            beacon(0.25, 0.5, &[3], &[7, 9]),
+            beacon(0.25, 0.5, &[3, 7, 9], &[]),
             ThetaMsg::Neighborhood,
             ThetaMsg::NbrAck,
             ThetaMsg::Connection,
@@ -760,6 +929,62 @@ mod tests {
         }
     }
 
+    /// Without loss round 1 confirms itself within a few beacons: every
+    /// node stops long before the window's 16 tries.
+    #[test]
+    fn lossless_beaconing_stops_early() {
+        let n = 80;
+        let points = uniform(n, 1);
+        let range = 0.4;
+        let alg = ThetaAlg::new(FRAC_PI_3, range);
+        let run = protocol(
+            &points,
+            alg.sectors(),
+            range,
+            ThetaTiming::default(),
+            FaultConfig::ideal(),
+            1,
+        );
+        assert_eq!(alg.build(&points).spatial.graph, run.graph.graph);
+        assert!(
+            run.stats.broadcasts <= 4 * n as u64,
+            "{} beacons from {n} nodes",
+            run.stats.broadcasts
+        );
+    }
+
+    /// Confirmed beaconing reconstructs the topology exactly over seeds
+    /// and loss rates, with fewer beacons than the fixed 16 per node.
+    #[test]
+    fn confirmed_beaconing_is_exact_across_seeds_and_loss() {
+        let n = 200;
+        for seed in 0..8u64 {
+            let points = uniform(n, 100 + seed);
+            let range = adhoc_geom::default_max_range(n);
+            let alg = ThetaAlg::new(FRAC_PI_3, range);
+            let direct = alg.build(&points);
+            for loss in [0.1, 0.2, 0.3] {
+                let run = protocol(
+                    &points,
+                    alg.sectors(),
+                    range,
+                    ThetaTiming::default(),
+                    FaultConfig::lossy(loss),
+                    seed,
+                );
+                assert_eq!(
+                    direct.spatial.graph, run.graph.graph,
+                    "seed {seed}, loss {loss}"
+                );
+                assert!(
+                    run.stats.broadcasts < 16 * n as u64,
+                    "seed {seed}, loss {loss}: {} beacons",
+                    run.stats.broadcasts
+                );
+            }
+        }
+    }
+
     #[test]
     fn lossy_links_still_reconstruct_exactly() {
         let points = uniform(60, 5);
@@ -777,7 +1002,7 @@ mod tests {
             );
             assert_eq!(
                 direct.spatial.graph, run.graph.graph,
-                "loss {loss}: retransmit budget should absorb it"
+                "loss {loss}: confirmed beacons and retransmissions should absorb it"
             );
             assert!(run.stats.dropped > 0, "loss {loss} dropped nothing?");
         }

@@ -187,7 +187,8 @@ mod tests {
             let fidelity: f64 = row[2].parse().unwrap();
             let exact = &row[3] == "true";
             // Acceptance: exact reconstruction, or ≥ 99% fidelity at the
-            // higher loss rates (past the 16-try retransmit budget).
+            // higher loss rates (where a pair may lose every beacon, or an
+            // offer all 16 tries of its window).
             assert!(
                 exact || (loss >= 0.2 && fidelity >= 0.99),
                 "loss {loss}: fidelity {fidelity}, exact {exact}"

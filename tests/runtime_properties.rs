@@ -284,10 +284,11 @@ proptest! {
         }
     }
 
-    /// Whenever loss stays within the retransmit budget (16 tries per
-    /// message at the default timing), the protocol's `𝒩` equals the
-    /// direct `ThetaAlg::build` graph *exactly* — the paper's 3-round
-    /// locality claim survives unreliable radios.
+    /// Whenever loss stays moderate (beacons repeat until confirmed, and
+    /// offers and connections get 16 tries at the default timing), the
+    /// protocol's `𝒩` equals the direct `ThetaAlg::build` graph
+    /// *exactly* — the paper's 3-round locality claim survives unreliable
+    /// radios.
     #[test]
     fn lossy_theta_equals_direct_construction(
         raw in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 8..28),
