@@ -1,7 +1,7 @@
 //! The *physical* (SINR) interference model of Gupta–Kumar.
 //!
 //! Paper §2.4 adopts the pairwise guard-zone ("protocol") model and notes
-//! it "is a simplified version of the *physical* model [24], which
+//! it "is a simplified version of the *physical* model \[24\], which
 //! considers a combined interference from all other simultaneous
 //! transmissions". This module implements that physical model so the
 //! experiment suite can validate the protocol-model abstraction: a

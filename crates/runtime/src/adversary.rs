@@ -13,23 +13,29 @@
 //! * an [`AdversaryPlan`] (mirroring [`crate::ChurnPlan`]) schedules
 //!   which nodes turn Byzantine, when, and with which composable
 //!   [`Attack`] behaviors;
-//! * [`AdversarialActor`] wraps any protocol actor whose message type
-//!   implements [`AdversaryTarget`] and applies the node's active
-//!   attacks to its *wire interface* — outgoing frames are forged,
-//!   targeted incoming data frames are consumed — while the inner actor
-//!   runs unmodified (a compromised node still executes the honest
-//!   protocol; the adversary owns its radio, not its code);
-//! * consumed packets are booked as [`Custody::Stolen`] /
-//!   [`Custody::Blackholed`] so the conservation ledger stays exact:
-//!   stolen traffic is *visible*, never silently vanished.
+//! * an interposer wraps every [`GossipNode`] as its radio layer and
+//!   applies the node's active attacks to its *wire interface* —
+//!   outgoing `Heights` frames are forged, targeted incoming `Packet`s
+//!   are consumed — while the node inside runs unmodified (a
+//!   compromised node still executes the honest protocol; the adversary
+//!   owns its radio, not its code);
+//! * consumed packets are booked as
+//!   [`GossipRun::stolen`](crate::GossipRun::stolen) /
+//!   [`GossipRun::blackholed`](crate::GossipRun::blackholed) so the
+//!   conservation ledger stays exact: stolen traffic is *visible*, never
+//!   silently vanished;
+//! * on fire-and-forget links the same radio layer refuses every
+//!   duplicate `Packet` copy, for every node, before any attack sees
+//!   it, so no copy is ever received or booked as theft twice.
 //!
 //! Every behavior is a pure function of `(node, time, message, sender)`
 //! over deterministic local state — no RNG, no wall clock — so
 //! adversarial runs replay bit-identically at every shard-thread count,
-//! exactly like honest ones. With an empty plan the interposer hands the
-//! inner actor the runtime's own effect buffer, making the wrapper a
-//! true no-op: byte-identical transcripts, pinned by the golden-fixture
-//! regression suite.
+//! exactly like honest ones. A node with no attack scheduled runs
+//! against the runtime's own effect buffer, so with an empty plan the
+//! interposer only refuses duplicates, as an honest node must:
+//! byte-identical transcripts, pinned by the golden-fixture regression
+//! suite.
 //!
 //! The matching defense layer (height plausibility, starvation probing,
 //! and cross-neighbor attestation feeding a quarantine score) lives in
@@ -37,12 +43,11 @@
 //! defending is a *protocol* concern: the runtime only makes attacking
 //! reproducible.
 
-use crate::gossip::DedupWindow;
-use crate::node::{Actor, Ctx, Message};
+use crate::gossip::{GossipMsg, GossipNode};
+use crate::node::{Actor, Ctx};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// One composable Byzantine behavior. Attacks forge the node's *wire*
 /// traffic; the inner protocol actor keeps running honestly and never
@@ -52,8 +57,9 @@ pub enum Attack {
     /// Height deflation: every outgoing control frame advertises height
     /// 0 for every destination, attracting neighbors' packets. With
     /// `blackhole`, incoming data frames are eaten before the inner
-    /// actor sees them ([`Custody::Stolen`]); without it they pile into
-    /// the honest buffer until it genuinely overflows.
+    /// actor sees them (booked as
+    /// [`GossipRun::stolen`](crate::GossipRun::stolen)); without it they
+    /// pile into the honest buffer until it genuinely overflows.
     Deflate {
         /// Steal attracted packets instead of letting them overflow.
         blackhole: bool,
@@ -71,8 +77,8 @@ pub enum Attack {
     Replay,
     /// Selective drop: control traffic passes through untouched, but
     /// data frames arriving from the listed link-level senders are eaten
-    /// ([`Custody::Blackholed`]). The stealthiest attack: the node's
-    /// advertised heights stay honest.
+    /// (booked as [`GossipRun::blackholed`](crate::GossipRun::blackholed)).
+    /// The stealthiest attack: the node's advertised heights stay honest.
     SelectiveDrop {
         /// Link-level senders whose data frames are dropped.
         sources: Vec<u32>,
@@ -84,6 +90,40 @@ pub enum Attack {
     /// cannot per-receiver equivocate. Caught by signed-digest
     /// attestation among common neighbors.
     Equivocate,
+}
+
+impl Attack {
+    /// Forge the heights of one outgoing `Heights` frame toward `to`
+    /// (`u32::MAX` for a broadcast, which falls in the odd bucket); the
+    /// frame keeps its own step stamp. `frozen` is the replay capture:
+    /// the first frame a replaying node emits after activation.
+    fn forge(&self, to: u32, heights: &mut Vec<u32>, frozen: &mut Option<Vec<u32>>) {
+        let lie = match self {
+            Attack::Deflate { .. } => 0,
+            Attack::Inflate => u32::MAX,
+            Attack::Equivocate if to.is_multiple_of(2) => 0,
+            Attack::Equivocate => u32::MAX,
+            Attack::Replay => {
+                *heights = frozen.get_or_insert_with(|| heights.clone()).clone();
+                return;
+            }
+            Attack::SelectiveDrop { .. } => return,
+        };
+        heights.fill(lie);
+    }
+
+    /// Eat an incoming `Packet` from link-level sender `from` if this
+    /// attack takes it, booking it as stolen or blackholed. Returns true
+    /// when the packet was eaten.
+    fn consume(&self, from: u32, stolen: &mut u64, blackholed: &mut u64) -> bool {
+        let booked = match self {
+            Attack::Deflate { blackhole: true } => stolen,
+            Attack::SelectiveDrop { sources } if sources.contains(&from) => blackholed,
+            _ => return false,
+        };
+        *booked += 1;
+        true
+    }
 }
 
 /// One scheduled compromise: `node` activates `attack` at virtual time
@@ -247,144 +287,70 @@ impl AdversaryPlan {
     }
 }
 
-/// How a consumed (never-delivered) data frame is booked in the
-/// conservation ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Custody {
-    /// Eaten by a deflating blackhole that *attracted* the packet.
-    Stolen,
-    /// Dropped by a selective forwarder the packet merely passed.
-    Blackholed,
-}
-
-/// The protocol-side hook [`AdversarialActor`] needs to attack a message
-/// alphabet: which frames are control vs. data, and how each [`Attack`]
-/// forges or consumes them. Implemented by the protocol (see the
-/// [`crate::gossip::GossipMsg`] impl) so the interposer itself stays
-/// message-agnostic.
-pub trait AdversaryTarget: Message {
-    /// True for control-plane frames (state advertisements) — the forge
-    /// and replay targets.
-    fn is_control(&self) -> bool;
-
-    /// True for data-plane frames — the theft targets.
-    fn is_data(&self) -> bool;
-
-    /// Data frames' per-sender sequence number, used by the interposer
-    /// to refuse duplicate fault-layer copies before booking a theft
-    /// (exactly mirroring the honest receiver's dedup, so `stolen` never
-    /// double-counts).
-    fn data_seq(&self) -> Option<u32>;
-
-    /// The forged replacement this attack emits instead of `self` toward
-    /// receiver `to` (`u32::MAX` for broadcasts), or `None` when the
-    /// attack leaves this frame untouched.
-    fn forged(&self, attack: &Attack, to: u32) -> Option<Self>;
-
-    /// Rebuild `self` with the *contents* of the `frozen` capture but
-    /// `self`'s own freshness stamp ([`Attack::Replay`]).
-    fn restamped(&self, frozen: &Self) -> Self;
-
-    /// `Some(custody)` when this attack eats an incoming frame from
-    /// link-level sender `from` instead of delivering it.
-    fn consumed(&self, attack: &Attack, from: u32) -> Option<Custody>;
-}
-
-/// Interposer between the runtime and a protocol actor, applying a
-/// node's scheduled [`Attack`]s to its wire traffic. With no attacks
-/// scheduled the inner actor runs against the runtime's own effect
-/// buffer — a true zero-cost, byte-identical pass-through.
-pub struct AdversarialActor<A: Actor> {
-    inner: A,
+/// A gossip node's radio layer: refuses duplicate `Packet` copies and
+/// applies the node's scheduled [`Attack`]s to its wire traffic. A node
+/// with no attack scheduled runs against the runtime's own effect
+/// buffer — an exact pass-through.
+#[derive(Debug)]
+pub(crate) struct AdversarialActor {
+    pub(crate) inner: GossipNode,
     /// `(activation time, attack)`, sorted by time.
     attacks: Vec<(u64, Attack)>,
-    /// [`Attack::Replay`]'s captured control frame.
-    frozen: Option<A::Msg>,
-    /// Refuse duplicate data copies before booking a theft (set for
-    /// fire-and-forget runs, where the fault layer can duplicate; a
-    /// reliable transport below us already delivers exactly-once).
-    dedup: bool,
-    /// Per-sender dedup windows (tracking *all* inbound data from
-    /// activation-capable senders, so a copy first seen honest can't be
-    /// re-booked as stolen after activation).
-    seen: BTreeMap<u32, DedupWindow>,
-    stolen: u64,
-    blackholed: u64,
+    /// [`Attack::Replay`]'s captured heights.
+    frozen: Option<Vec<u32>>,
+    /// Per-sender dedup windows: `Some` exactly when the links below can
+    /// duplicate (fire-and-forget; a reliable transport already
+    /// delivers exactly-once, and its retransmission latency can push a
+    /// packet further behind the sender's newest seq than any bounded
+    /// window). Never pruned when a neighbor departs: a duplicate of an
+    /// old packet can still be in flight, and the windows stay O(1) per
+    /// ever-neighbor.
+    seen: Option<BTreeMap<u32, DedupWindow>>,
+    /// Packets eaten by a deflating blackhole.
+    pub(crate) stolen: u64,
+    /// Packets eaten by a selective dropper.
+    pub(crate) blackholed: u64,
     /// Effect buffer of a compromised node's inner actor, drained (and
     /// released) after every callback; boxed on first use, so honest
     /// nodes do not carry it.
-    ic: Option<Box<Ctx<A::Msg>>>,
+    ic: Option<Box<Ctx<GossipMsg>>>,
 }
 
-impl<A> AdversarialActor<A>
-where
-    A: Actor,
-    A::Msg: AdversaryTarget,
-{
-    /// Wrap `inner` with an attack schedule (from
-    /// [`AdversaryPlan::for_node`]); `dedup` must be true iff duplicate
-    /// link-layer copies can reach this actor (fire-and-forget faults).
-    pub fn new(inner: A, mut attacks: Vec<(u64, Attack)>, dedup: bool) -> Self {
-        attacks.sort_by_key(|&(at, _)| at);
+impl AdversarialActor {
+    /// Wrap `inner` with its attack schedule (from
+    /// [`AdversaryPlan::for_node`], already sorted); `dedup` must be true
+    /// iff duplicate link-layer copies can reach this node.
+    pub(crate) fn new(inner: GossipNode, attacks: Vec<(u64, Attack)>, dedup: bool) -> Self {
         AdversarialActor {
             inner,
             attacks,
             frozen: None,
-            dedup,
-            seen: BTreeMap::new(),
+            seen: dedup.then(BTreeMap::new),
             stolen: 0,
             blackholed: 0,
             ic: None,
         }
     }
 
-    /// The wrapped protocol actor.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// True if this node has any attack scheduled (now or later).
-    pub fn compromised(&self) -> bool {
-        !self.attacks.is_empty()
-    }
-
-    /// Data frames eaten as [`Custody::Stolen`] so far.
-    pub fn stolen(&self) -> u64 {
-        self.stolen
-    }
-
-    /// Data frames eaten as [`Custody::Blackholed`] so far.
-    pub fn blackholed(&self) -> u64 {
-        self.blackholed
-    }
-
     /// Pass one outgoing frame through every active attack, in
     /// activation order.
-    fn forge(&mut self, now: u64, to: u32, msg: A::Msg) -> A::Msg {
-        let AdversarialActor {
-            attacks, frozen, ..
-        } = self;
-        let mut m = msg;
-        for (at, attack) in attacks.iter() {
-            if *at > now {
-                break; // sorted: nothing later is active either
-            }
-            if matches!(attack, Attack::Replay) {
-                if m.is_control() {
-                    let f = frozen.get_or_insert_with(|| m.clone());
-                    m = m.restamped(f);
-                }
-            } else if let Some(f) = m.forged(attack, to) {
-                m = f;
+    fn forge(&mut self, now: u64, to: u32, mut msg: GossipMsg) -> GossipMsg {
+        if let GossipMsg::Heights { heights, .. } = &mut msg {
+            for (_, attack) in self.attacks.iter().take_while(|&&(at, _)| at <= now) {
+                attack.forge(to, heights, &mut self.frozen);
             }
         }
-        m
+        msg
     }
 
     /// Run one inner callback. Honest nodes use the runtime's own effect
     /// buffer (exact pass-through); compromised ones use a private buffer,
     /// kept across callbacks, whose effects are forged on the way out.
-    fn deliver(&mut self, ctx: &mut Ctx<A::Msg>, f: impl FnOnce(&mut A, &mut Ctx<A::Msg>)) {
+    fn deliver(
+        &mut self,
+        ctx: &mut Ctx<GossipMsg>,
+        f: impl FnOnce(&mut GossipNode, &mut Ctx<GossipMsg>),
+    ) {
         if self.attacks.is_empty() {
             f(&mut self.inner, ctx);
             return;
@@ -409,68 +375,40 @@ where
     }
 }
 
-impl<A> fmt::Debug for AdversarialActor<A>
-where
-    A: Actor + fmt::Debug,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AdversarialActor")
-            .field("inner", &self.inner)
-            .field("attacks", &self.attacks)
-            .field("stolen", &self.stolen)
-            .field("blackholed", &self.blackholed)
-            .finish_non_exhaustive()
-    }
-}
+impl Actor for AdversarialActor {
+    type Msg = GossipMsg;
 
-impl<A> Actor for AdversarialActor<A>
-where
-    A: Actor,
-    A::Msg: AdversaryTarget,
-{
-    type Msg = A::Msg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<Self::Msg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<GossipMsg>) {
         self.deliver(ctx, |a, ic| a.on_start(ic));
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, from: u32, msg: Self::Msg) {
-        if !self.attacks.is_empty() && msg.is_data() {
-            // Dedup *before* consumption, from t = 0: a duplicate of a
-            // copy that passed through honestly before activation must
-            // be silently refused (as the inner dedup would), not booked
-            // as a theft.
-            if self.dedup {
-                if let Some(seq) = msg.data_seq() {
-                    if !self.seen.entry(from).or_default().accept(seq) {
-                        return;
-                    }
+    fn on_message(&mut self, ctx: &mut Ctx<GossipMsg>, from: u32, msg: GossipMsg) {
+        if let GossipMsg::Packet { seq, .. } = msg {
+            // Refuse duplicates *before* any attack, from t = 0: a copy
+            // of a packet that passed through honestly before activation
+            // must not be booked as a theft afterwards.
+            if let Some(seen) = &mut self.seen {
+                if !seen.entry(from).or_default().accept(seq) {
+                    return;
                 }
             }
             let now = ctx.now();
-            for (at, attack) in &self.attacks {
-                if *at > now {
-                    break;
-                }
-                if let Some(custody) = msg.consumed(attack, from) {
-                    match custody {
-                        Custody::Stolen => self.stolen += 1,
-                        Custody::Blackholed => self.blackholed += 1,
-                    }
-                    return; // eaten: the inner actor never sees it
-                }
+            let (stolen, blackholed) = (&mut self.stolen, &mut self.blackholed);
+            let mut active = self.attacks.iter().take_while(|&&(at, _)| at <= now);
+            if active.any(|(_, attack)| attack.consume(from, stolen, blackholed)) {
+                return; // eaten: the inner actor never sees it
             }
         }
         self.deliver(ctx, |a, ic| a.on_message(ic, from, msg));
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<Self::Msg>, timer: u32) {
+    fn on_timer(&mut self, ctx: &mut Ctx<GossipMsg>, timer: u32) {
         self.deliver(ctx, |a, ic| a.on_timer(ic, timer));
     }
 
     fn on_neighborhood_change(
         &mut self,
-        ctx: &mut Ctx<Self::Msg>,
+        ctx: &mut Ctx<GossipMsg>,
         neighbors: &[u32],
         pos: adhoc_geom::Point,
     ) {
@@ -478,9 +416,131 @@ where
     }
 }
 
+/// Duplicate suppression for one sender in O(1) space: the highest
+/// accepted sequence number plus a 64-wide bitmask of recently accepted
+/// seqs below it. `seq` is monotone per sender, so only copies delayed
+/// past the window can be misjudged — anything more than 63 behind the
+/// high-water mark is conservatively treated as a duplicate (the ledger
+/// then books the packet as link-lost rather than double-counting it).
+#[derive(Debug, Clone, Copy, Default)]
+struct DedupWindow {
+    /// Highest accepted seq (meaningful iff `any`).
+    hi: u32,
+    /// Bit `k` set ⇔ seq `hi − k` was accepted (bit 0 is `hi` itself).
+    mask: u64,
+    any: bool,
+}
+
+impl DedupWindow {
+    /// Record `seq`; returns true iff it was not seen before.
+    fn accept(&mut self, seq: u32) -> bool {
+        if !self.any {
+            (self.any, self.hi, self.mask) = (true, seq, 1);
+            return true;
+        }
+        if seq > self.hi {
+            let shift = seq - self.hi;
+            self.mask = if shift >= 64 { 0 } else { self.mask << shift };
+            self.mask |= 1;
+            self.hi = seq;
+            return true;
+        }
+        let back = self.hi - seq;
+        if back >= 64 || self.mask & (1 << back) != 0 {
+            return false;
+        }
+        self.mask |= 1 << back;
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{DelayDist, FaultConfig};
+    use crate::gossip::{build_nodes, uniform_workload, GossipConfig};
+    use crate::Runtime;
+    use adhoc_geom::Point;
+    use adhoc_graph::GraphBuilder;
+    use adhoc_proximity::SpatialGraph;
+    use adhoc_routing::BalancingConfig;
+
+    #[test]
+    fn dedup_window_accepts_once_within_window() {
+        let mut w = DedupWindow::default();
+        assert!(w.accept(5));
+        assert!(!w.accept(5), "exact duplicate");
+        assert!(w.accept(7), "forward jump");
+        assert!(w.accept(6), "out-of-order within window");
+        assert!(!w.accept(6) && !w.accept(5), "replays rejected");
+        assert!(w.accept(7 + 63), "edge of the window");
+        assert!(!w.accept(7), "63 behind: still remembered");
+        assert!(!w.accept(5), "beyond the window: treated as duplicate");
+    }
+
+    #[test]
+    fn dedup_window_survives_large_jumps() {
+        let mut w = DedupWindow::default();
+        assert!(w.accept(0));
+        assert!(w.accept(1000), "shift ≥ 64 must not overflow");
+        assert!(w.accept(999));
+        assert!(!w.accept(1000) && !w.accept(999));
+        assert!(!w.accept(0), "far-stale seq treated as duplicate");
+    }
+
+    /// Regression for the unbounded `seen: HashSet<(sender, seq)>`: over
+    /// a long duplicate-heavy run, per-node dedup state must stay bounded
+    /// by the neighbor count — not grow with the packet count — while
+    /// accepting exactly the same packets (no drops ⇒ every transmission
+    /// is accepted exactly once, duplicates discarded).
+    #[test]
+    fn dedup_state_stays_bounded_on_long_duplicate_heavy_runs() {
+        let points: Vec<Point> = (0..5).map(|i| Point::new(i as f64 * 0.1, 0.0)).collect();
+        let mut b = GraphBuilder::new(5);
+        for i in 0..4 {
+            b.add_edge(i, i + 1, 0.1);
+        }
+        let topo = SpatialGraph::new(points, b.build(), 0.15);
+        let wl = uniform_workload(5, &[4], 2000, 2, 11);
+        let faults = FaultConfig {
+            drop_prob: 0.0,
+            duplicate_prob: 0.4,
+            delay: DelayDist::Uniform { min: 1, max: 4 },
+        };
+        let balancing = BalancingConfig {
+            threshold: 0.5,
+            gamma: 0.0,
+            capacity: 50,
+        };
+        let cfg = GossipConfig::new(balancing, 2000);
+        let nodes: Vec<AdversarialActor> = build_nodes(&topo, &[4], cfg, &wl)
+            .into_iter()
+            .map(|node| AdversarialActor::new(node, Vec::new(), true))
+            .collect();
+        let mut rt = Runtime::new(nodes, &topo.points, topo.max_range.max(1e-9), faults, 11);
+        rt.start();
+        rt.run();
+
+        let sent: u64 = rt.nodes().iter().map(|a| a.inner.counts.packets_sent).sum();
+        let received: u64 = rt
+            .nodes()
+            .iter()
+            .map(|a| a.inner.counts.packets_received)
+            .sum();
+        assert_eq!(sent, received, "lossless links: accept each packet once");
+        assert!(rt.stats().duplicated > 100, "run wasn't duplicate-heavy");
+        assert!(sent > 1000, "run too short to expose unbounded growth");
+        for (id, node) in rt.nodes().iter().enumerate() {
+            let seen = node.seen.as_ref().expect("fire-and-forget links dedup");
+            assert!(
+                seen.len() <= node.inner.nbrs.len(),
+                "node {} tracks {} dedup entries for {} neighbors",
+                id,
+                seen.len(),
+                node.inner.nbrs.len()
+            );
+        }
+    }
 
     #[test]
     fn builder_and_for_node_sort_by_activation_time() {

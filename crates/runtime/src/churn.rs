@@ -16,7 +16,7 @@
 //! * the batch of entries applied at one boundary, the recomputed
 //!   membership and neighbor rows, and the affected-node set are
 //!   computed once by the coordinating runtime and applied identically
-//!   everywhere ([`ChurnDelta`]).
+//!   everywhere (`ChurnDelta`).
 //!
 //! Membership is tracked per node ([`MemberState`]): `Pending` nodes have
 //! not joined yet (no `on_start`, excluded from every neighbor row),

@@ -11,8 +11,9 @@
 //!   refresh period, now a real message that can be lost or delayed);
 //! * send decisions use the freshest cached neighbor heights;
 //! * data packets are `Packet` messages over the same faulty links —
-//!   sequence-numbered so duplicated deliveries are idempotent, and
-//!   accounted so lost packets are visible instead of silently vanishing.
+//!   sequence-numbered so the node's radio layer (the [`crate::adversary`]
+//!   interposer) can refuse duplicated deliveries, and accounted so lost
+//!   packets are visible instead of silently vanishing.
 //!
 //! Conservation therefore holds in ledger form:
 //! `injected = absorbed + buffered + overflow_dropped + link_lost +
@@ -21,7 +22,7 @@
 //! quiescence (0 in fire-and-forget mode); `stolen` and `blackholed` are
 //! packets eaten by an adversary (0 without one).
 
-use crate::adversary::{AdversarialActor, AdversaryPlan, AdversaryTarget, Attack, Custody};
+use crate::adversary::{AdversarialActor, AdversaryPlan};
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
 use crate::reliable::{LinkCounters, ReliableActor, ReliableConfig};
@@ -107,66 +108,6 @@ impl Message for GossipMsg {
                     w.u64(digest);
                 }
             }
-        }
-    }
-}
-
-impl AdversaryTarget for GossipMsg {
-    fn is_control(&self) -> bool {
-        matches!(self, GossipMsg::Heights { .. })
-    }
-
-    fn is_data(&self) -> bool {
-        matches!(self, GossipMsg::Packet { .. })
-    }
-
-    fn data_seq(&self) -> Option<u32> {
-        match self {
-            GossipMsg::Packet { seq, .. } => Some(*seq),
-            _ => None,
-        }
-    }
-
-    fn forged(&self, attack: &Attack, to: u32) -> Option<Self> {
-        let GossipMsg::Heights { step, heights } = self else {
-            return None;
-        };
-        let lie = |h: u32| GossipMsg::Heights {
-            step: *step,
-            heights: vec![h; heights.len()],
-        };
-        match attack {
-            Attack::Deflate { .. } => Some(lie(0)),
-            Attack::Inflate => Some(lie(u32::MAX)),
-            // Equivocation differentiates *unicast* receivers by parity;
-            // broadcasts (`to == u32::MAX`) fall in the odd bucket.
-            Attack::Equivocate => Some(lie(if to.is_multiple_of(2) { 0 } else { u32::MAX })),
-            Attack::Replay | Attack::SelectiveDrop { .. } => None,
-        }
-    }
-
-    fn restamped(&self, frozen: &Self) -> Self {
-        match (self, frozen) {
-            (GossipMsg::Heights { step, .. }, GossipMsg::Heights { heights, .. }) => {
-                GossipMsg::Heights {
-                    step: *step,
-                    heights: heights.clone(),
-                }
-            }
-            _ => self.clone(),
-        }
-    }
-
-    fn consumed(&self, attack: &Attack, from: u32) -> Option<Custody> {
-        if !matches!(self, GossipMsg::Packet { .. }) {
-            return None;
-        }
-        match attack {
-            Attack::Deflate { blackhole: true } => Some(Custody::Stolen),
-            Attack::SelectiveDrop { sources } if sources.contains(&from) => {
-                Some(Custody::Blackholed)
-            }
-            _ => None,
         }
     }
 }
@@ -328,13 +269,14 @@ impl GossipConfig {
     }
 }
 
-/// One balancing node: its own height column, cached neighbor heights,
-/// and a dedup set for at-most-once packet accounting.
+/// One balancing node: its own height column and cached neighbor
+/// heights. Its radio layer refuses duplicate packet copies before they
+/// reach it.
 #[derive(Debug, Clone)]
 pub struct GossipNode {
     id: u32,
     /// `(neighbor, edge cost)` pairs from the topology.
-    nbrs: Vec<(u32, f64)>,
+    pub(crate) nbrs: Vec<(u32, f64)>,
     dests: Vec<u32>,
     /// Own buffer heights, one per destination.
     heights: Vec<u32>,
@@ -342,9 +284,6 @@ pub struct GossipNode {
     /// step that produced them — the tag is what lets `on_message` refuse
     /// reordered (older) gossip instead of overwriting fresher state.
     cached: BTreeMap<u32, (u64, Vec<u32>)>,
-    /// Bounded per-sender duplicate suppression (O(1) per neighbor,
-    /// regardless of run length — see [`DedupWindow`]).
-    seen: BTreeMap<u32, DedupWindow>,
     /// Injections scheduled for this node: `(step, dest)`, sorted by step.
     schedule: Vec<(u64, u32)>,
     next_inj: usize,
@@ -370,7 +309,7 @@ pub struct GossipNode {
     /// tick instead, and this flag keeps that idempotent.
     ticking: bool,
     /// Local ledger.
-    counts: NodeCounts,
+    pub(crate) counts: NodeCounts,
 }
 
 /// Per-node packet ledger.
@@ -400,46 +339,6 @@ pub struct NodeCounts {
     pub attests_sent: u64,
     /// Defense: peers this node quarantined.
     pub quarantines: u64,
-}
-
-/// Duplicate suppression for one sender in O(1) space: the highest
-/// accepted sequence number plus a 64-wide bitmask of recently accepted
-/// seqs below it. `seq` is monotone per sender, so only copies delayed
-/// past the window can be misjudged — anything more than 63 behind the
-/// high-water mark is conservatively treated as a duplicate (the ledger
-/// then books the packet as link-lost rather than double-counting it).
-/// The previous implementation kept every `(sender, seq)` pair ever
-/// accepted in a `HashSet`, which grows without bound in long runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DedupWindow {
-    /// Highest accepted seq (meaningful iff `any`).
-    hi: u32,
-    /// Bit `k` set ⇔ seq `hi − k` was accepted (bit 0 is `hi` itself).
-    mask: u64,
-    any: bool,
-}
-
-impl DedupWindow {
-    /// Record `seq`; returns true iff it was not seen before.
-    pub(crate) fn accept(&mut self, seq: u32) -> bool {
-        if !self.any {
-            (self.any, self.hi, self.mask) = (true, seq, 1);
-            return true;
-        }
-        if seq > self.hi {
-            let shift = seq - self.hi;
-            self.mask = if shift >= 64 { 0 } else { self.mask << shift };
-            self.mask |= 1;
-            self.hi = seq;
-            return true;
-        }
-        let back = self.hi - seq;
-        if back >= 64 || self.mask & (1 << back) != 0 {
-            return false;
-        }
-        self.mask |= 1 << back;
-        true
-    }
 }
 
 impl GossipNode {
@@ -576,8 +475,7 @@ impl GossipNode {
     /// Sever `peer`: drop the routing edge and cached heights exactly as
     /// churn erodes a departed neighbor, and ignore its future gossip.
     /// Its data packets — innocent traffic it merely relayed — still
-    /// deliver, and the dedup window survives so late duplicate copies
-    /// stay refused.
+    /// deliver.
     fn quarantine(&mut self, peer: u32) {
         if !self.quarantined.insert(peer) {
             return;
@@ -712,19 +610,7 @@ impl Actor for GossipNode {
                     self.suspect(peer, threshold);
                 }
             }
-            GossipMsg::Packet { dest, seq } => {
-                // Dedup is only needed against fault-layer duplicate
-                // copies, whose arrival skew is bounded by the delay
-                // distribution — well within the window. Under the
-                // reliable sublayer the transport already delivers
-                // exactly-once per sequence number, and retransmission
-                // latency can legitimately push a packet further behind
-                // the sender's newest seq than any bounded window, so
-                // datagram dedup is skipped there.
-                if self.cfg.reliability.is_none() && !self.seen.entry(from).or_default().accept(seq)
-                {
-                    return; // duplicated delivery
-                }
+            GossipMsg::Packet { dest, .. } => {
                 self.counts.packets_received += 1;
                 if dest == self.id {
                     self.counts.absorbed += 1;
@@ -753,11 +639,6 @@ impl Actor for GossipNode {
             .retain(|(w, _)| neighbors.binary_search(w).is_ok());
         self.cached
             .retain(|w, _| neighbors.binary_search(w).is_ok());
-        // `seen` is deliberately NOT pruned: a duplicated copy of an old
-        // packet can still be in flight when the edge erodes, and dropping
-        // the sender's dedup window would double-count it on arrival
-        // (received > sent breaks the conservation ledger). Windows stay
-        // O(1) per ever-neighbor, so state remains bounded by n.
         // A joiner got no on_start; bootstrap its step tick here. Nodes
         // that already ran out of steps stay stopped.
         if !self.ticking && self.step < self.cfg.steps {
@@ -875,7 +756,7 @@ pub fn uniform_workload(
 
 /// Build the node actors for one run (workload split per source,
 /// sorted by step).
-fn build_nodes(
+pub(crate) fn build_nodes(
     topology: &SpatialGraph,
     dests: &[u32],
     cfg: GossipConfig,
@@ -887,6 +768,11 @@ fn build_nodes(
         assert!(
             (src as usize) < n,
             "workload source {src} is not a node (n = {n})"
+        );
+        assert!(
+            step < cfg.steps,
+            "workload step {step} falls after the run's last step (cfg.steps = {})",
+            cfg.steps
         );
         schedules[src as usize].push((step, dest));
     }
@@ -905,7 +791,6 @@ fn build_nodes(
             dests: dests.to_vec(),
             heights: vec![0; dests.len()],
             cached: BTreeMap::new(),
-            seen: BTreeMap::new(),
             schedule: std::mem::take(&mut schedules[id as usize]),
             next_inj: 0,
             cfg,
@@ -933,7 +818,7 @@ fn run_stack<S>(
     seed: u64,
     plan: &ChurnPlan,
     threads: usize,
-    layers: impl Fn(&S) -> (&AdversarialActor<GossipNode>, LinkCounters, u64),
+    layers: impl Fn(&S) -> (&AdversarialActor, LinkCounters, u64),
 ) -> GossipRun
 where
     S: Actor + Send,
@@ -957,9 +842,9 @@ where
         run.stats.rto_fired += c.rto_fired;
         run.gave_up += c.gave_up;
         custody += held;
-        run.stolen += actor.stolen();
-        run.blackholed += actor.blackholed();
-        let node = actor.inner();
+        run.stolen += actor.stolen;
+        run.blackholed += actor.blackholed;
+        let node = &actor.inner;
         let c = node.counts;
         run.injected += c.injected;
         run.admission_dropped += c.admission_dropped;
@@ -1009,19 +894,23 @@ where
 /// reliable sublayer's custody toward vanished peers is abandoned rather
 /// than retried forever.
 ///
-/// Under an [`AdversaryPlan`] the chosen nodes' wire traffic is corrupted
-/// by their scheduled [`Attack`]s through the [`AdversarialActor`]
-/// interposer, while every node (compromised ones included — the
-/// adversary owns radios, not code) runs the honest protocol, plus the
-/// defense layer when [`GossipConfig::with_defense`] is set. Packets the
-/// adversary eats are booked as `stolen`/`blackholed`, keeping the
-/// conservation ledger exact. In reliable mode the interposer sits
-/// *inside* the transport — a smart attacker acks what it steals, so
-/// reliability cannot recover eaten packets. With an empty plan the
-/// interposer passes every callback through unchanged.
+/// Every node runs inside the [`crate::adversary`] interposer, its radio
+/// layer. On fire-and-forget links that layer refuses every duplicate
+/// `Packet` copy, for every node, before anything else sees it. Under an
+/// [`AdversaryPlan`] it also corrupts the chosen nodes' wire traffic with
+/// their scheduled [`Attack`](crate::Attack)s, while every node
+/// (compromised ones included — the adversary owns radios, not code)
+/// runs the honest protocol, plus the defense layer when
+/// [`GossipConfig::with_defense`] is set. Packets the adversary eats are
+/// booked as `stolen`/`blackholed`, keeping the conservation ledger
+/// exact. In reliable mode the interposer sits *inside* the transport —
+/// a smart attacker acks what it steals, so reliability cannot recover
+/// eaten packets. A node with no attack scheduled has its callbacks
+/// passed through unchanged.
 ///
-/// Panics on an invalid configuration or plan, and on a destination or
-/// workload source that is not a node of `topology`.
+/// Panics on an invalid configuration or plan, on a destination or
+/// workload source that is not a node of `topology`, and on a workload
+/// step at or past `cfg.steps`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gossip_balancing_adversarial(
     topology: &SpatialGraph,
@@ -1042,9 +931,8 @@ pub fn run_gossip_balancing_adversarial(
         assert!((d as usize) < n, "destination {d} is not a node (n = {n})");
     }
     adversary.validate(n);
-    let nodes = build_nodes(topology, dests, cfg, workload);
     let dedup = cfg.reliability.is_none();
-    let wrapped: Vec<AdversarialActor<GossipNode>> = nodes
+    let wrapped: Vec<AdversarialActor> = build_nodes(topology, dests, cfg, workload)
         .into_iter()
         .map(|node| {
             let attacks = adversary.for_node(node.id);
@@ -1178,64 +1066,6 @@ mod tests {
         let (plan, adv) = (ChurnPlan::new(), AdversaryPlan::new());
         let threads = crate::shard_threads_from_env();
         run_gossip_balancing_adversarial(topo, dests, c, wl, faults, seed, &plan, &adv, threads)
-    }
-
-    #[test]
-    fn dedup_window_accepts_once_within_window() {
-        let mut w = DedupWindow::default();
-        assert!(w.accept(5));
-        assert!(!w.accept(5), "exact duplicate");
-        assert!(w.accept(7), "forward jump");
-        assert!(w.accept(6), "out-of-order within window");
-        assert!(!w.accept(6) && !w.accept(5), "replays rejected");
-        assert!(w.accept(7 + 63), "edge of the window");
-        assert!(!w.accept(7), "63 behind: still remembered");
-        assert!(!w.accept(5), "beyond the window: treated as duplicate");
-    }
-
-    #[test]
-    fn dedup_window_survives_large_jumps() {
-        let mut w = DedupWindow::default();
-        assert!(w.accept(0));
-        assert!(w.accept(1000), "shift ≥ 64 must not overflow");
-        assert!(w.accept(999));
-        assert!(!w.accept(1000) && !w.accept(999));
-        assert!(!w.accept(0), "far-stale seq treated as duplicate");
-    }
-
-    /// Regression for the unbounded `seen: HashSet<(sender, seq)>`: over
-    /// a long duplicate-heavy run, per-node dedup state must stay bounded
-    /// by the neighbor count — not grow with the packet count — while
-    /// accepting exactly the same packets (no drops ⇒ every transmission
-    /// is accepted exactly once, duplicates discarded).
-    #[test]
-    fn dedup_state_stays_bounded_on_long_duplicate_heavy_runs() {
-        let topo = chain(5);
-        let wl = uniform_workload(5, &[4], 2000, 2, 11);
-        let faults = FaultConfig {
-            drop_prob: 0.0,
-            duplicate_prob: 0.4,
-            delay: DelayDist::Uniform { min: 1, max: 4 },
-        };
-        let nodes = build_nodes(&topo, &[4], cfg(2000), &wl);
-        let mut rt = Runtime::new(nodes, &topo.points, topo.max_range.max(1e-9), faults, 11);
-        rt.start();
-        rt.run();
-
-        let sent: u64 = rt.nodes().iter().map(|n| n.counts.packets_sent).sum();
-        let received: u64 = rt.nodes().iter().map(|n| n.counts.packets_received).sum();
-        assert_eq!(sent, received, "lossless links: accept each packet once");
-        assert!(rt.stats().duplicated > 100, "run wasn't duplicate-heavy");
-        assert!(sent > 1000, "run too short to expose unbounded growth");
-        for node in rt.nodes() {
-            assert!(
-                node.seen.len() <= node.nbrs.len(),
-                "node {} tracks {} dedup entries for {} neighbors",
-                node.id,
-                node.seen.len(),
-                node.nbrs.len()
-            );
-        }
     }
 
     #[test]
@@ -1538,6 +1368,16 @@ mod tests {
     fn a_workload_source_outside_the_topology_is_rejected() {
         let topo = chain(3);
         balance(&topo, &[2], cfg(10), &[(0, 9, 2)], FaultConfig::ideal(), 1);
+    }
+
+    /// An entry the run never reaches would vanish from the ledger: the
+    /// run would report a delivery rate over only part of the traffic.
+    #[test]
+    #[should_panic(expected = "workload step 10 falls after the run's last step (cfg.steps = 10)")]
+    fn a_workload_step_after_the_run_is_rejected() {
+        let topo = chain(3);
+        let wl = uniform_workload(3, &[2], 50, 2, 1);
+        balance(&topo, &[2], cfg(10), &wl, FaultConfig::ideal(), 1);
     }
 
     // ------------------- Byzantine adversary & defense -------------------

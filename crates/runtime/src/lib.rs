@@ -43,7 +43,8 @@
 //! Faults can also *lie*: [`adversary`] compromises a seeded subset of
 //! nodes with a schedulable [`AdversaryPlan`] — height deflation and
 //! inflation, stale-frame replay, selective packet drop, equivocation —
-//! wrapping each node's radio in an [`AdversarialActor`] interposer
+//! applied by an interposer that is each gossip node's radio layer (and
+//! the one place that refuses duplicate packet copies),
 //! while the node itself keeps running the honest code. The gossip
 //! balancer's defense layer
 //! ([`GossipConfig::with_defense`](gossip::GossipConfig::with_defense))
@@ -84,9 +85,7 @@ pub mod shard;
 pub mod stats;
 pub mod theta;
 
-pub use adversary::{
-    AdversarialActor, AdversaryEntry, AdversaryPlan, AdversaryTarget, Attack, Custody,
-};
+pub use adversary::{AdversaryEntry, AdversaryPlan, Attack};
 pub use churn::{ChurnEntry, ChurnKind, ChurnPlan, MemberState};
 pub use event::{Event, EventKey, EventKind, EventQueue, Payload};
 pub use fault::{DelayDist, FaultConfig, TransmitOutcome};

@@ -29,7 +29,7 @@
 //!    [`crate::event`]).
 //! 3. **Windowed digest folds.** Event records accumulate in per-node
 //!    sub-digests and fold into the global digest in node-id order at
-//!    each lookahead-window boundary ([`crate::stats::WindowNotes`]).
+//!    each lookahead-window boundary (`stats::WindowNotes`).
 //!
 //! [`EventKey`]: crate::event::EventKey
 

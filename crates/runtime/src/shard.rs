@@ -1,4 +1,4 @@
-//! The event loop: one [`Shard`] core per set of nodes, and the threaded
+//! The event loop: one `Shard` core per set of nodes, and the threaded
 //! driver that runs several of them under conservative lookahead with
 //! bit-identical replay digests.
 //!

@@ -70,7 +70,7 @@ pub struct NetStats {
     pub reconvergences: u64,
     /// High-water mark of the event queue.
     pub max_queue_depth: usize,
-    /// Per-kind breakdown, keyed by [`Message::kind`](crate::Message::kind).
+    /// Per-kind breakdown, keyed by [`Message::kind`].
     pub per_kind: BTreeMap<&'static str, KindCounts>,
 }
 
@@ -189,7 +189,7 @@ impl KindTable {
 /// human-readable entries so tests can diff them.
 ///
 /// The digest is folded **canonically**: event records accumulate in
-/// per-node sub-digests ([`WindowNotes`]) for the duration of one
+/// per-node sub-digests (`WindowNotes`) for the duration of one
 /// lookahead window, and at each window boundary the dirty `(node,
 /// sub-digest)` pairs are folded into the global digest in node-id
 /// order. A node's events happen in a deterministic local order no
@@ -215,7 +215,7 @@ impl Default for Transcript {
 
 /// Streams a binary encoding into a rolling FNV-1a state. Transcript
 /// records, and the messages inside them
-/// ([`Message::digest_into`](crate::Message::digest_into)), are written
+/// ([`Message::digest_into`]), are written
 /// through it as fixed-width little-endian integers, `f64` bit patterns
 /// and length-prefixed sequences, so digesting an event costs no
 /// formatting and no allocation.

@@ -195,13 +195,6 @@ impl Default for ThetaTiming {
 }
 
 impl ThetaTiming {
-    /// Most transmissions of one message a round window has room for:
-    /// the cap on a node's beacons in round 1 and on each offer's or
-    /// connection's retransmissions in rounds 2 and 3.
-    pub fn budget(&self) -> u64 {
-        self.round_len / self.resend_every.max(1)
-    }
-
     fn validate(&self, faults: &FaultConfig) {
         assert!(self.resend_every >= 1, "resend_every must be ≥ 1");
         assert!(
@@ -306,11 +299,6 @@ impl ThetaNode {
     /// Virtual time this node last (re)computed its admitted set.
     pub fn settled_at(&self) -> u64 {
         self.settled_at
-    }
-
-    /// Re-convergence epochs this node went through (0 = never perturbed).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Position of a heard node, if its beacon ever arrived.
