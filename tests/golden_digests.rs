@@ -5,8 +5,9 @@
 //! has its replay digest pinned in `tests/fixtures/e20_digests.txt`,
 //! every E21 churn scenario (3 seeds × {no-churn, leave-heavy,
 //! drift-heavy}) in `tests/fixtures/e21_digests.txt`, and every E22
-//! adversary scenario (2 seeds × {blackhole, inflate, equivocate} ×
-//! defense off/on) in `tests/fixtures/e22_digests.txt`. The runtime
+//! adversary scenario (all six attacks × defense off/on, over 2 seeds on
+//! fire-and-forget links and over reliable links under churn) in
+//! `tests/fixtures/e22_digests.txt`. The runtime
 //! promises bit-for-bit replay from a seed; this suite extends that
 //! promise across *commits*: any change to event ordering, RNG
 //! consumption, fault sampling, churn scheduling, or message contents
