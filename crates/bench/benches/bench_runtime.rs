@@ -1,15 +1,16 @@
-//! Runtime bench (E20): the hardened ΘALG protocol and gossip-balancing
-//! over lossy links, at increasing loss rates — the cost of fault
-//! tolerance in retransmissions per run. Table rows: `report -- e20`.
-//! Thread scaling of the ΘALG run: `examples/shard_scaling.rs` (E20b).
+//! Runtime bench (E20): gossip-balancing over lossy links, fire-and-forget
+//! and reliable, at increasing loss rates — the cost of fault tolerance
+//! in retransmissions per run — and the ΘALG protocol under churn. Table
+//! rows: `report -- e20`. The static ΘALG protocol is timed, with its
+//! output verified, by the `runbench` workload `theta_static`; its thread
+//! scaling by `examples/shard_scaling.rs` (E20b).
 
 use adhoc_bench::uniform_points;
 use adhoc_core::ThetaAlg;
 use adhoc_routing::BalancingConfig;
 use adhoc_runtime::{
-    run_gossip_balancing_adversarial, run_theta_churn, run_theta_protocol_sharded,
-    uniform_workload, AdversaryPlan, ChurnPlan, FaultConfig, GossipConfig, ReliableConfig,
-    ThetaTiming,
+    run_gossip_balancing_adversarial, run_theta_churn, uniform_workload, AdversaryPlan, ChurnPlan,
+    FaultConfig, GossipConfig, ReliableConfig, ThetaTiming,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::f64::consts::FRAC_PI_3;
@@ -25,26 +26,6 @@ fn bench(c: &mut Criterion) {
     let points = uniform_points(n, 23);
     let range = adhoc_geom::default_max_range(n);
     let alg = ThetaAlg::new(FRAC_PI_3, range);
-
-    for loss in [0.0f64, 0.1, 0.2] {
-        g.bench_with_input(
-            BenchmarkId::new("theta_protocol", format!("loss={loss}")),
-            &loss,
-            |b, &loss| {
-                b.iter(|| {
-                    black_box(run_theta_protocol_sharded(
-                        &points,
-                        alg.sectors(),
-                        range,
-                        ThetaTiming::default(),
-                        FaultConfig::lossy(loss),
-                        7,
-                        1,
-                    ))
-                });
-            },
-        );
-    }
 
     let topo = alg.build(&points);
     let dests = [0u32];
@@ -93,8 +74,8 @@ fn bench(c: &mut Criterion) {
     }
     // The churn engine's overhead on the same geometry: a seeded mixed
     // plan (joins, leaves, crashes, drift) through the ΘALG protocol,
-    // including every local re-convergence it triggers. Compare with the
-    // static theta_protocol arms above. Table rows: `report -- e21`.
+    // including every local re-convergence it triggers. Table rows:
+    // `report -- e21`.
     let spares = n / 10;
     let plan = ChurnPlan::random(n - spares, spares, 1.0, 2_000, 12, 29);
     for loss in [0.0f64, 0.1] {

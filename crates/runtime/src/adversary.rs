@@ -13,7 +13,7 @@
 //! * an [`AdversaryPlan`] (mirroring [`crate::ChurnPlan`]) schedules
 //!   which nodes turn Byzantine, when, and with which composable
 //!   [`Attack`] behaviors;
-//! * an interposer wraps every [`GossipNode`] as its radio layer and
+//! * an interposer wraps every gossip node as its radio layer and
 //!   applies the node's active attacks to its *wire interface* —
 //!   outgoing `Heights` frames are forged, targeted incoming `Packet`s
 //!   are consumed — while the node inside runs unmodified (a
@@ -31,11 +31,11 @@
 //! Every behavior is a pure function of `(node, time, message, sender)`
 //! over deterministic local state — no RNG, no wall clock — so
 //! adversarial runs replay bit-identically at every shard-thread count,
-//! exactly like honest ones. A node with no attack scheduled runs
-//! against the runtime's own effect buffer, so with an empty plan the
-//! interposer only refuses duplicates, as an honest node must:
-//! byte-identical transcripts, pinned by the golden-fixture regression
-//! suite.
+//! exactly like honest ones. Every node runs on the runtime's own effect
+//! buffer, and only the height frames of a node with an active attack
+//! are rewritten there, so with an empty plan the interposer only
+//! refuses duplicates, as an honest node must: byte-identical
+//! transcripts, pinned by the golden-fixture regression suite.
 //!
 //! The matching defense layer (height plausibility, starvation probing,
 //! and cross-neighbor attestation feeding a quarantine score) lives in
@@ -289,8 +289,7 @@ impl AdversaryPlan {
 
 /// A gossip node's radio layer: refuses duplicate `Packet` copies and
 /// applies the node's scheduled [`Attack`]s to its wire traffic. A node
-/// with no attack scheduled runs against the runtime's own effect
-/// buffer — an exact pass-through.
+/// with no active attack passes its callbacks through unchanged.
 #[derive(Debug)]
 pub(crate) struct AdversarialActor {
     pub(crate) inner: GossipNode,
@@ -310,10 +309,6 @@ pub(crate) struct AdversarialActor {
     pub(crate) stolen: u64,
     /// Packets eaten by a selective dropper.
     pub(crate) blackholed: u64,
-    /// Effect buffer of a compromised node's inner actor, drained (and
-    /// released) after every callback; boxed on first use, so honest
-    /// nodes do not carry it.
-    ic: Option<Box<Ctx<GossipMsg>>>,
 }
 
 impl AdversarialActor {
@@ -328,50 +323,30 @@ impl AdversarialActor {
             seen: dedup.then(BTreeMap::new),
             stolen: 0,
             blackholed: 0,
-            ic: None,
         }
     }
 
-    /// Pass one outgoing frame through every active attack, in
-    /// activation order.
-    fn forge(&mut self, now: u64, to: u32, mut msg: GossipMsg) -> GossipMsg {
-        if let GossipMsg::Heights { heights, .. } = &mut msg {
-            for (_, attack) in self.attacks.iter().take_while(|&&(at, _)| at <= now) {
-                attack.forge(to, heights, &mut self.frozen);
-            }
-        }
-        msg
-    }
-
-    /// Run one inner callback. Honest nodes use the runtime's own effect
-    /// buffer (exact pass-through); compromised ones use a private buffer,
-    /// kept across callbacks, whose effects are forged on the way out.
+    /// Run one inner callback on the caller's effect buffer, then forge in
+    /// place each `Heights` frame it appended through every active
+    /// attack, in activation order.
     fn deliver(
         &mut self,
         ctx: &mut Ctx<GossipMsg>,
         f: impl FnOnce(&mut GossipNode, &mut Ctx<GossipMsg>),
     ) {
-        if self.attacks.is_empty() {
-            f(&mut self.inner, ctx);
-            return;
-        }
+        let (sends, broadcasts) = (ctx.sends.len(), ctx.broadcasts.len());
+        f(&mut self.inner, ctx);
         let now = ctx.now();
-        let mut ic = self.ic.take().unwrap_or_default();
-        ic.reset(ctx.id(), now);
-        f(&mut self.inner, &mut ic);
-        for (to, m) in ic.sends.drain(..) {
-            let m = self.forge(now, to, m);
-            ctx.send(to, m);
+        let active = &self.attacks[..self.attacks.partition_point(|&(at, _)| at <= now)];
+        let unicast = ctx.sends[sends..].iter_mut().map(|(to, m)| (*to, m));
+        let broadcast = ctx.broadcasts[broadcasts..].iter_mut();
+        for (to, msg) in unicast.chain(broadcast.map(|m| (u32::MAX, m))) {
+            if let GossipMsg::Heights { heights, .. } = msg {
+                for (_, attack) in active {
+                    attack.forge(to, heights, &mut self.frozen);
+                }
+            }
         }
-        for m in ic.broadcasts.drain(..) {
-            let m = self.forge(now, u32::MAX, m);
-            ctx.broadcast(m);
-        }
-        for (at, id) in ic.timers.drain(..) {
-            ctx.set_timer(at.saturating_sub(now), id);
-        }
-        ic.release();
-        self.ic = Some(ic);
     }
 }
 
@@ -459,7 +434,7 @@ mod tests {
     use super::*;
     use crate::fault::{DelayDist, FaultConfig};
     use crate::gossip::{build_nodes, uniform_workload, GossipConfig};
-    use crate::Runtime;
+    use crate::{ChurnPlan, Runtime};
     use adhoc_geom::Point;
     use adhoc_graph::GraphBuilder;
     use adhoc_proximity::SpatialGraph;
@@ -517,9 +492,15 @@ mod tests {
             .into_iter()
             .map(|node| AdversarialActor::new(node, Vec::new(), true))
             .collect();
-        let mut rt = Runtime::new(nodes, &topo.points, topo.max_range.max(1e-9), faults, 11);
-        rt.start();
-        rt.run();
+        let mut rt = Runtime::new(
+            nodes,
+            &topo.points,
+            topo.max_range.max(1e-9),
+            faults,
+            11,
+            &ChurnPlan::new(),
+        );
+        rt.run(1);
 
         let sent: u64 = rt.nodes().iter().map(|a| a.inner.counts.packets_sent).sum();
         let received: u64 = rt

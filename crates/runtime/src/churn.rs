@@ -3,7 +3,7 @@
 //! A [`ChurnPlan`] is a seeded, declarative list of perturbations — node
 //! joins (at a position), graceful leaves, crash leaves, and waypoint
 //! drifts — that the runtime injects during execution
-//! ([`crate::Runtime::set_churn_plan`]). Determinism is preserved by
+//! ([`crate::Runtime::new`] installs the plan). Determinism is preserved by
 //! construction:
 //!
 //! * every churn time is **snapped up to a lookahead-window boundary**
@@ -62,8 +62,8 @@ pub struct ChurnEntry {
 }
 
 /// A declarative churn/mobility schedule. Build one with the chainable
-/// constructors or [`ChurnPlan::random`], then install it with
-/// [`crate::Runtime::set_churn_plan`] before `start()`.
+/// constructors or [`ChurnPlan::random`], then hand it to
+/// [`crate::Runtime::new`] or a protocol harness.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnPlan {
     entries: Vec<ChurnEntry>,

@@ -26,7 +26,7 @@ use crate::adversary::{AdversarialActor, AdversaryPlan};
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
 use crate::reliable::{LinkCounters, ReliableActor, ReliableConfig};
-use crate::runtime::run_to_quiescence;
+use crate::runtime::Runtime;
 use crate::stats::{DigestWriter, NetStats};
 use crate::ChurnPlan;
 use adhoc_geom::Point;
@@ -63,7 +63,7 @@ pub enum GossipMsg {
     /// Defense-layer attestation (sent only with
     /// [`GossipConfig::with_defense`]): the sender's sworn record of the
     /// height frames it last observed, one `(peer, peer's gossip step,
-    /// FNV-1a digest of the heights vector)` triple per heard neighbor.
+    /// digest of the heights vector)` triple per heard neighbor.
     /// The digest stands in for a signature over the frame: a receiver
     /// that cached a *different* frame from `peer` for the same step has
     /// caught `peer` equivocating — honest nodes send one frame per step
@@ -117,8 +117,11 @@ impl Message for GossipMsg {
 /// own first-hand observations by a gossip frame or two.
 const OBSERVED_WINDOW: usize = 4;
 
-/// FNV-1a over a heights vector — the attestation layer's stand-in for
-/// a signature binding `(peer, step)` to the advertised frame.
+/// An FNV-1a-style hash of a heights vector — the attestation layer's
+/// stand-in for a signature binding `(peer, step)` to the advertised
+/// frame. Its multiplier is `0x1000_0000_01b3`, not FNV's prime
+/// `0x100_0000_01b3`; every `Attest` carries these digests, so fixing it
+/// would change the E22 golden digests.
 fn heights_digest(heights: &[u32]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &v in heights {
@@ -273,7 +276,7 @@ impl GossipConfig {
 /// heights. Its radio layer refuses duplicate packet copies before they
 /// reach it.
 #[derive(Debug, Clone)]
-pub struct GossipNode {
+pub(crate) struct GossipNode {
     id: u32,
     /// `(neighbor, edge cost)` pairs from the topology.
     pub(crate) nbrs: Vec<(u32, f64)>,
@@ -314,7 +317,7 @@ pub struct GossipNode {
 
 /// Per-node packet ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeCounts {
+pub(crate) struct NodeCounts {
     /// Packets admitted at this node.
     pub injected: u64,
     /// Injections refused by admission control (full buffer).
@@ -828,7 +831,8 @@ where
     // protocol is purely unicast over topology edges, so any positive
     // range works.
     let range = topology.max_range.max(1e-9);
-    let rt = run_to_quiescence(nodes, &topology.points, range, faults, seed, plan, threads);
+    let mut rt = Runtime::new(nodes, &topology.points, range, faults, seed, plan);
+    rt.run(threads);
     let mut run = GossipRun {
         stats: rt.stats().clone(),
         digest: rt.transcript().digest(),
@@ -1199,9 +1203,15 @@ mod tests {
         // Seed 1 is chosen so that, pre-fix, the *final* cache state is
         // stale: the step-58 gossip overtakes the step-59 one in flight.
         let nodes = build_nodes(&topo, &[2], c, &wl);
-        let mut rt = Runtime::new(nodes, &topo.points, topo.max_range, faults, 1);
-        rt.start();
-        rt.run();
+        let mut rt = Runtime::new(
+            nodes,
+            &topo.points,
+            topo.max_range,
+            faults,
+            1,
+            &ChurnPlan::new(),
+        );
+        rt.run(1);
         // The chosen seed must actually reorder — and the stale copies
         // must have been refused, not cached.
         let stale: u64 = rt

@@ -12,9 +12,8 @@
 //! fault decisions from its own seeded RNG stream, events are ordered by
 //! the canonical `(time, EventKey)` key, and a rolling [`Transcript`]
 //! digest witnesses replay equality — the same seed reproduces the same
-//! run bit for bit, whether its one event loop runs inline
-//! ([`Runtime::run`]) or sharded over worker threads
-//! ([`Runtime::run_sharded`]), asserted by tests.
+//! run bit for bit, whether [`Runtime::run`] drives its one event loop
+//! inline or sharded over worker threads, asserted by tests.
 //!
 //! Two protocols from the paper are ported onto the runtime:
 //!
@@ -91,15 +90,13 @@ pub use event::{Event, EventKey, EventKind, EventQueue, Payload};
 pub use fault::{DelayDist, FaultConfig, TransmitOutcome};
 pub use gossip::{
     run_gossip_balancing_adversarial, uniform_workload, DefenseConfig, GossipConfig, GossipMsg,
-    GossipNode, GossipRun,
+    GossipRun,
 };
 pub use node::{Actor, Ctx, Message};
-pub use reliable::{
-    LinkCounters, ReliableActor, ReliableConfig, ReliableMsg, Transport, RELIABLE_TIMER,
-};
+pub use reliable::{LinkCounters, ReliableActor, ReliableConfig, ReliableMsg, RELIABLE_TIMER};
 pub use runtime::{shard_threads_from_env, Runtime};
 pub use stats::{DigestWriter, KindCounts, NetStats, Transcript};
 pub use theta::{
     edge_fidelity, run_theta_churn, run_theta_protocol_sharded, Beacon, ThetaChurnRun, ThetaMsg,
-    ThetaNode, ThetaRun, ThetaTiming,
+    ThetaRun, ThetaTiming,
 };

@@ -240,7 +240,7 @@ impl RecvState {
 /// so flush emission order — and therefore the replay digest — is a pure
 /// function of the protocol's behaviour.
 #[derive(Debug, Clone)]
-pub struct Transport<M> {
+pub(crate) struct Transport<M> {
     cfg: ReliableConfig,
     send: BTreeMap<u32, SendState<M>>,
     recv: BTreeMap<u32, RecvState>,
@@ -708,6 +708,7 @@ mod tests {
         cfg: ReliableConfig,
         faults: FaultConfig,
         seed: u64,
+        plan: &ChurnPlan,
     ) -> Runtime<Wrapped> {
         let nodes: Vec<Wrapped> = (0..2)
             .map(|id| {
@@ -724,14 +725,19 @@ mod tests {
             })
             .collect();
         let positions = [Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
-        Runtime::new(nodes, &positions, 1.5, faults, seed)
+        Runtime::new(nodes, &positions, 1.5, faults, seed, plan)
     }
 
     #[test]
     fn lossless_links_deliver_everything_without_retransmits() {
-        let mut rt = pump_pair(50, ReliableConfig::default(), FaultConfig::ideal(), 1);
-        rt.start();
-        rt.run();
+        let mut rt = pump_pair(
+            50,
+            ReliableConfig::default(),
+            FaultConfig::ideal(),
+            1,
+            &ChurnPlan::new(),
+        );
+        rt.run(1);
         let sink = rt.node(1);
         assert_eq!(sink.inner().got.len(), 50);
         let src = rt.node(0);
@@ -747,8 +753,7 @@ mod tests {
             duplicate_prob: 0.2,
             delay: DelayDist::Uniform { min: 1, max: 6 },
         };
-        let mut rt = pump_pair(80, ReliableConfig::default(), faults, 7);
-        rt.start();
+        let mut rt = pump_pair(80, ReliableConfig::default(), faults, 7, &ChurnPlan::new());
         let quiescent = rt.run_with_limit(2_000_000);
         assert!(quiescent, "retransmit schedule must terminate");
         let src_counters = rt.node(0).counters();
@@ -770,8 +775,7 @@ mod tests {
             max_retries: 3,
             ..ReliableConfig::default()
         };
-        let mut rt = pump_pair(5, cfg, FaultConfig::lossy(1.0), 3);
-        rt.start();
+        let mut rt = pump_pair(5, cfg, FaultConfig::lossy(1.0), 3, &ChurnPlan::new());
         let quiescent = rt.run_with_limit(1_000_000);
         assert!(quiescent, "give-up cap must bound the retransmit schedule");
         assert_eq!(rt.node(1).inner().got.len(), 0);
@@ -797,8 +801,7 @@ mod tests {
             duplicate_prob: 0.0,
             delay: DelayDist::Fixed(1),
         };
-        let mut rt = pump_pair(120, cfg, faults, 11);
-        rt.start();
+        let mut rt = pump_pair(120, cfg, faults, 11, &ChurnPlan::new());
         assert!(rt.run_with_limit(2_000_000));
         let gave_up = rt.node(0).counters().gave_up;
         assert!(gave_up > 0, "tight retry budget at 55% loss must abandon");
@@ -834,9 +837,7 @@ mod tests {
             duplicate_prob: 0.0,
             delay: DelayDist::Uniform { min: 2, max: 5 },
         };
-        let mut rt = pump_pair(40, cfg, faults, 13);
-        rt.set_churn_plan(&ChurnPlan::new().crash(12, 1));
-        rt.start();
+        let mut rt = pump_pair(40, cfg, faults, 13, &ChurnPlan::new().crash(12, 1));
         assert!(
             rt.run_with_limit(1_000_000),
             "dead-peer retries must exhaust, not spin"
@@ -961,9 +962,14 @@ mod tests {
             delay: DelayDist::Uniform { min: 1, max: 5 },
         };
         let run = |seed| {
-            let mut rt = pump_pair(60, ReliableConfig::default(), faults, seed);
-            rt.start();
-            rt.run();
+            let mut rt = pump_pair(
+                60,
+                ReliableConfig::default(),
+                faults,
+                seed,
+                &ChurnPlan::new(),
+            );
+            rt.run(1);
             (rt.transcript().digest(), rt.stats().clone())
         };
         assert_eq!(run(9), run(9));
@@ -986,9 +992,14 @@ mod tests {
 
     #[test]
     fn ack_messages_are_bucketed_separately() {
-        let mut rt = pump_pair(10, ReliableConfig::default(), FaultConfig::ideal(), 2);
-        rt.start();
-        rt.run();
+        let mut rt = pump_pair(
+            10,
+            ReliableConfig::default(),
+            FaultConfig::ideal(),
+            2,
+            &ChurnPlan::new(),
+        );
+        rt.run(1);
         assert!(rt.stats().per_kind["ack"].sent > 0);
         assert_eq!(rt.stats().per_kind["num"].sent, 10);
     }
@@ -1010,7 +1021,14 @@ mod tests {
             ReliableConfig::default(),
             always as fn(&Num) -> bool,
         )];
-        let mut rt = Runtime::new(nodes, &[Point::new(0.0, 0.0)], 1.0, FaultConfig::ideal(), 1);
+        let mut rt = Runtime::new(
+            nodes,
+            &[Point::new(0.0, 0.0)],
+            1.0,
+            FaultConfig::ideal(),
+            1,
+            &ChurnPlan::new(),
+        );
         rt.start();
     }
 }

@@ -56,7 +56,7 @@
 
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
-use crate::runtime::{run_to_quiescence, splitmix64, Runtime};
+use crate::runtime::{splitmix64, Runtime};
 use crate::stats::{DigestWriter, NetStats};
 use crate::{ChurnPlan, MemberState};
 use adhoc_geom::{Point, SectorPartition};
@@ -225,7 +225,7 @@ struct Heard {
 
 /// One ΘALG node as a local state machine.
 #[derive(Debug, Clone)]
-pub struct ThetaNode {
+pub(crate) struct ThetaNode {
     pos: Point,
     sectors: SectorPartition,
     timing: ThetaTiming,
@@ -680,7 +680,8 @@ fn run_theta(
         .iter()
         .map(|&p| ThetaNode::new(p, sectors, timing))
         .collect();
-    let rt = run_to_quiescence(nodes, points, range, faults, seed, plan, threads);
+    let mut rt = Runtime::new(nodes, points, range, faults, seed, plan);
+    rt.run(threads);
 
     // Liveness is read in place, not collected: on two threads that one
     // extra allocation raised peak RSS from ~25 to 36–39 MiB for some

@@ -150,10 +150,15 @@ mod tests {
         let plan = ChurnPlan::from_waypoint_trace(&frames, 4, 4);
         assert!(!plan.is_empty(), "a moving trace must schedule drifts");
 
-        let mut rt = Runtime::new(vec![Silent; 12], &frames[0], 0.3, FaultConfig::ideal(), 77);
-        rt.set_churn_plan(&plan);
-        rt.start();
-        rt.run();
+        let mut rt = Runtime::new(
+            vec![Silent; 12],
+            &frames[0],
+            0.3,
+            FaultConfig::ideal(),
+            77,
+            &plan,
+        );
+        rt.run(1);
         assert_eq!(rt.positions(), frames.last().unwrap().as_slice());
     }
 

@@ -12,7 +12,7 @@
 //! lossy links costs O(B) allocations post-fix, versus ≥ B·N clones
 //! pre-fix.
 
-use adhoc_runtime::{Actor, Ctx, DigestWriter, FaultConfig, Message, Runtime};
+use adhoc_runtime::{Actor, ChurnPlan, Ctx, DigestWriter, FaultConfig, Message, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -106,11 +106,18 @@ fn broadcast_fanout_does_not_clone_per_neighbor() {
     // Fully lossy links: every per-neighbor copy is dropped at the fault
     // layer, which is exactly the case where the old code had already
     // paid for the clone and the new code pays nothing.
-    let mut rt = Runtime::new(nodes, &positions, 1.0, FaultConfig::lossy(1.0), 11);
+    let mut rt = Runtime::new(
+        nodes,
+        &positions,
+        1.0,
+        FaultConfig::lossy(1.0),
+        11,
+        &ChurnPlan::new(),
+    );
     rt.start();
 
     let before = ALLOCS.load(Ordering::Relaxed);
-    rt.run();
+    rt.run(1);
     let during = ALLOCS.load(Ordering::Relaxed) - before;
 
     let fanout = u64::from(NEIGHBORS) * u64::from(ROUNDS);

@@ -15,7 +15,8 @@
 //! transport skips a flush while its state is unchanged.
 
 use adhoc_runtime::{
-    Actor, Ctx, DigestWriter, FaultConfig, Message, ReliableActor, ReliableConfig, Runtime,
+    Actor, ChurnPlan, Ctx, DigestWriter, FaultConfig, Message, ReliableActor, ReliableConfig,
+    Runtime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,16 +100,27 @@ fn never(_: &Token) -> bool {
 /// Run two ping-pong players to quiescence and check that the run stays
 /// within a constant allocation budget; `what` names the path that would
 /// be allocating per event.
-fn run_within_budget<A: Actor>(nodes: Vec<A>, what: &str) -> Runtime<A> {
+fn run_within_budget<A>(nodes: Vec<A>, what: &str) -> Runtime<A>
+where
+    A: Actor + Send,
+    A::Msg: Send + Sync,
+{
     let positions = [
         adhoc_geom::Point::new(0.0, 0.0),
         adhoc_geom::Point::new(1.0, 0.0),
     ];
-    let mut rt = Runtime::new(nodes, &positions, 1.5, FaultConfig::ideal(), 1);
+    let mut rt = Runtime::new(
+        nodes,
+        &positions,
+        1.5,
+        FaultConfig::ideal(),
+        1,
+        &ChurnPlan::new(),
+    );
     rt.start();
 
     let before = ALLOCS.load(Ordering::Relaxed);
-    rt.run();
+    rt.run(1);
     let during = ALLOCS.load(Ordering::Relaxed) - before;
 
     let events = rt.stats().delivered + rt.stats().timers_fired + rt.stats().dropped;
