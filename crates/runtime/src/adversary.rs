@@ -43,11 +43,12 @@
 //! defending is a *protocol* concern: the runtime only makes attacking
 //! reproducible.
 
-use crate::gossip::{GossipMsg, GossipNode};
+use crate::gossip::{GossipMsg, GossipNode, HeightFrame};
 use crate::node::{Actor, Ctx};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One composable Byzantine behavior. Attacks forge the node's *wire*
 /// traffic; the inner protocol actor keeps running honestly and never
@@ -95,21 +96,25 @@ pub enum Attack {
 impl Attack {
     /// Forge the heights of one outgoing `Heights` frame toward `to`
     /// (`u32::MAX` for a broadcast, which falls in the odd bucket); the
-    /// frame keeps its own step stamp. `frozen` is the replay capture:
-    /// the first frame a replaying node emits after activation.
-    fn forge(&self, to: u32, heights: &mut Vec<u32>, frozen: &mut Option<Vec<u32>>) {
+    /// frame keeps its own step stamp and attestation. A forged copy is
+    /// this copy's own ([`HeightFrame::forge`]): the frame the other
+    /// copies and the node itself share is never written. `frozen` is
+    /// the replay capture: the heights of the first frame a replaying
+    /// node emits after activation.
+    fn forge(&self, to: u32, frame: &mut Arc<HeightFrame>, frozen: &mut Option<Box<[u32]>>) {
         let lie = match self {
             Attack::Deflate { .. } => 0,
             Attack::Inflate => u32::MAX,
             Attack::Equivocate if to.is_multiple_of(2) => 0,
             Attack::Equivocate => u32::MAX,
             Attack::Replay => {
-                *heights = frozen.get_or_insert_with(|| heights.clone()).clone();
+                let frozen = frozen.get_or_insert_with(|| frame.heights().into());
+                HeightFrame::forge(frame, |heights| heights.copy_from_slice(frozen));
                 return;
             }
             Attack::SelectiveDrop { .. } => return,
         };
-        heights.fill(lie);
+        HeightFrame::forge(frame, |heights| heights.fill(lie));
     }
 
     /// Eat an incoming `Packet` from link-level sender `from` if this
@@ -296,7 +301,7 @@ pub(crate) struct AdversarialActor {
     /// `(activation time, attack)`, sorted by time.
     attacks: Vec<(u64, Attack)>,
     /// [`Attack::Replay`]'s captured heights.
-    frozen: Option<Vec<u32>>,
+    frozen: Option<Box<[u32]>>,
     /// Per-sender dedup windows: `Some` exactly when the links below can
     /// duplicate (fire-and-forget; a reliable transport already
     /// delivers exactly-once, and its retransmission latency can push a
@@ -326,9 +331,10 @@ impl AdversarialActor {
         }
     }
 
-    /// Run one inner callback on the caller's effect buffer, then forge in
-    /// place each `Heights` frame it appended through every active
-    /// attack, in activation order.
+    /// Run one inner callback on the caller's effect buffer, then forge
+    /// each `Heights` frame it appended through every active attack, in
+    /// activation order (copy-on-write: only forged copies stop sharing
+    /// the node's frame).
     fn deliver(
         &mut self,
         ctx: &mut Ctx<GossipMsg>,
@@ -341,9 +347,9 @@ impl AdversarialActor {
         let unicast = ctx.sends[sends..].iter_mut().map(|(to, m)| (*to, m));
         let broadcast = ctx.broadcasts[broadcasts..].iter_mut();
         for (to, msg) in unicast.chain(broadcast.map(|m| (u32::MAX, m))) {
-            if let GossipMsg::Heights { heights, .. } = msg {
+            if let GossipMsg::Heights(frame) = msg {
                 for (_, attack) in active {
-                    attack.forge(to, heights, &mut self.frozen);
+                    attack.forge(to, frame, &mut self.frozen);
                 }
             }
         }

@@ -6,9 +6,14 @@
 //! cannot: they know their own column of the height matrix and whatever
 //! their neighbors last *gossiped*. This module makes that explicit:
 //!
-//! * every `refresh_every` routing steps a node sends a `Heights` message
-//!   to each topology neighbor (the `StaleBalancingRouter` ablation's
-//!   refresh period, now a real message that can be lost or delayed);
+//! * a node sends each topology neighbor the same [`HeightFrame`] at a
+//!   routing step when it has something new: its heights changed since
+//!   its last frame, `refresh_every` steps passed since that frame (the
+//!   longest silence, so a lost frame is repaired within it), or, with
+//!   the defense on, an attestation is due, which then rides the frame.
+//!   The frame is the protocol's one control message, a real message
+//!   that can be lost or delayed; the paper's §3.2 remark is why sparse
+//!   frames are safe — `(T, γ)`-balancing tolerates stale heights;
 //! * send decisions use the freshest cached neighbor heights;
 //! * data packets are `Packet` messages over the same faulty links —
 //!   sequence-numbered so the node's radio layer (the [`crate::adversary`]
@@ -35,23 +40,89 @@ use adhoc_routing::BalancingConfig;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Timer id for the per-step tick.
 const TIMER_STEP: u32 = 1;
 
+/// One height frame, the protocol's only control message: the sender's
+/// buffer heights, one per destination (indexed like the shared
+/// destination list), stamped with the sender's routing step so reordered
+/// deliveries can't roll a cache back to staler values, plus the
+/// defense's attestation when one is due. A node sends every neighbor the
+/// same frame at the same step, and all copies share one allocation
+/// ([`GossipMsg::Heights`]) and one encoding digest, taken when the frame
+/// is built.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HeightFrame {
+    /// The sender's routing step when the frame was emitted.
+    step: u64,
+    /// The sender's buffer heights at that step.
+    heights: Box<[u32]>,
+    /// Defense-layer attestation (empty unless one was due, see
+    /// [`DefenseConfig`]): the sender's sworn record of the height frames
+    /// it last observed, one `(peer, peer's frame step, digest of the
+    /// heights)` triple per heard neighbor. The digest stands in for a
+    /// signature over the frame: a receiver that observed a *different*
+    /// frame from `peer` for the same step has caught `peer`
+    /// equivocating — honest nodes send one frame per step to everyone,
+    /// so two signed, same-step digests can only differ if `peer` forged
+    /// at least one of them.
+    attest: Box<[(u32, u64, u64)]>,
+    /// The digest of the encoding of the fields above, which every copy
+    /// writes into the replay digest.
+    digest: u64,
+}
+
+impl HeightFrame {
+    fn new(step: u64, heights: Box<[u32]>, attest: Box<[(u32, u64, u64)]>) -> Self {
+        let mut frame = HeightFrame {
+            step,
+            heights,
+            attest,
+            digest: 0,
+        };
+        frame.seal();
+        frame
+    }
+
+    /// The sender's buffer heights.
+    pub(crate) fn heights(&self) -> &[u32] {
+        &self.heights
+    }
+
+    /// Rewrite the heights of one copy of a frame, leaving the frame the
+    /// other copies share untouched (copy on write), and re-digest it.
+    pub(crate) fn forge(frame: &mut Arc<HeightFrame>, f: impl FnOnce(&mut [u32])) {
+        let frame = Arc::make_mut(frame);
+        f(&mut frame.heights);
+        frame.seal();
+    }
+
+    /// Digest the frame's encoding: the step, then the heights and the
+    /// attestation, each length-prefixed.
+    fn seal(&mut self) {
+        let mut w = DigestWriter::new();
+        w.u64(self.step);
+        w.len_prefix(self.heights.len());
+        for &h in &self.heights {
+            w.u32(h);
+        }
+        w.len_prefix(self.attest.len());
+        for &(peer, step, digest) in &self.attest {
+            w.u32(peer);
+            w.u64(step);
+            w.u64(digest);
+        }
+        self.digest = w.finish();
+    }
+}
+
 /// Messages of the distributed balancing protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GossipMsg {
-    /// Height gossip: the sender's buffer heights, one per destination
-    /// (indexed like the shared destination list), stamped with the
-    /// sender's routing step so reordered deliveries can't roll a cache
-    /// back to staler values.
-    Heights {
-        /// The sender's routing step when the gossip was emitted.
-        step: u64,
-        /// The sender's buffer heights at that step.
-        heights: Vec<u32>,
-    },
+    /// A height frame, shared by every copy a node sends in one step.
+    Heights(Arc<HeightFrame>),
     /// One data packet bound for `dest`; `seq` is unique per sender so
     /// receivers can discard duplicated deliveries.
     Packet {
@@ -60,53 +131,27 @@ pub enum GossipMsg {
         /// Sender-local sequence number.
         seq: u32,
     },
-    /// Defense-layer attestation (sent only with
-    /// [`GossipConfig::with_defense`]): the sender's sworn record of the
-    /// height frames it last observed, one `(peer, peer's gossip step,
-    /// digest of the heights vector)` triple per heard neighbor.
-    /// The digest stands in for a signature over the frame: a receiver
-    /// that cached a *different* frame from `peer` for the same step has
-    /// caught `peer` equivocating — honest nodes send one frame per step
-    /// to everyone, so two signed, same-step digests can only differ if
-    /// `peer` forged at least one of them.
-    Attest {
-        /// `(peer, step, heights digest)` per cached neighbor.
-        frames: Vec<(u32, u64, u64)>,
-    },
 }
 
 impl Message for GossipMsg {
     fn kind(&self) -> &'static str {
         match self {
-            GossipMsg::Heights { .. } => "heights",
+            GossipMsg::Heights(_) => "heights",
             GossipMsg::Packet { .. } => "packet",
-            GossipMsg::Attest { .. } => "attest",
         }
     }
 
     fn digest_into(&self, w: &mut DigestWriter) {
         match self {
-            GossipMsg::Heights { step, heights } => {
+            // The frame's encoding was digested once, when it was built.
+            GossipMsg::Heights(frame) => {
                 w.u8(0);
-                w.u64(*step);
-                w.len_prefix(heights.len());
-                for &h in heights {
-                    w.u32(h);
-                }
+                w.u64(frame.digest);
             }
             GossipMsg::Packet { dest, seq } => {
                 w.u8(1);
                 w.u32(*dest);
                 w.u32(*seq);
-            }
-            GossipMsg::Attest { frames } => {
-                w.u8(2);
-                w.len_prefix(frames.len());
-                for &(peer, step, digest) in frames {
-                    w.u32(peer);
-                    w.u64(step);
-                    w.u64(digest);
-                }
             }
         }
     }
@@ -117,26 +162,22 @@ impl Message for GossipMsg {
 /// own first-hand observations by a gossip frame or two.
 const OBSERVED_WINDOW: usize = 4;
 
-/// An FNV-1a-style hash of a heights vector — the attestation layer's
-/// stand-in for a signature binding `(peer, step)` to the advertised
-/// frame. Its multiplier is `0x1000_0000_01b3`, not FNV's prime
-/// `0x100_0000_01b3`; every `Attest` carries these digests, so fixing it
-/// would change the E22 golden digests.
+/// The FNV-1a digest of a heights vector (little-endian words) — the
+/// attestation layer's stand-in for a signature binding `(peer, step)`
+/// to the advertised frame.
 fn heights_digest(heights: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in heights {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+    let mut w = DigestWriter::new();
+    for &h in heights {
+        w.u32(h);
     }
-    h
+    w.finish()
 }
 
 /// Reliability predicate for the balancing protocol: data packets ride
-/// the reliable sublayer, heights gossip stays best-effort — a stale
-/// height retransmitted late is worth less than the next periodic
-/// refresh, and §3.2's guarantee only needs the *packets* to survive.
+/// the reliable sublayer, height frames stay best-effort — a stale
+/// frame retransmitted late is worth less than the next one, due within
+/// `refresh_every` steps, and §3.2's guarantee only needs the *packets*
+/// to survive.
 fn needs_reliability(msg: &GossipMsg) -> bool {
     matches!(msg, GossipMsg::Packet { .. })
 }
@@ -147,8 +188,12 @@ pub struct GossipConfig {
     /// The `(T, γ, H)` balancing parameters (shared with the centralized
     /// router).
     pub balancing: BalancingConfig,
-    /// Routing steps between height gossips; 1 = gossip every step
-    /// (the `StaleBalancingRouter` refresh-period knob as real traffic).
+    /// Longest silence: the most routing steps a node lets pass after a
+    /// height frame before it sends another with unchanged heights. A
+    /// node sends a frame at a step when its heights changed since its
+    /// last frame, when this many steps have passed since it, or when an
+    /// attestation is due; 1 = a frame every step (the
+    /// `StaleBalancingRouter` refresh-period knob as real traffic).
     pub refresh_every: u64,
     /// Number of routing steps to simulate.
     pub steps: u64,
@@ -186,12 +231,14 @@ pub struct GossipConfig {
 ///    stays at zero. Every [`DefenseConfig::probe_packets`] fed packets
 ///    answered by an all-zero frame raise suspicion by 1.
 /// 3. **Attestation** — every [`DefenseConfig::attest_every`] steps each
-///    node swears to its neighbors which `(peer, step, frame digest)` it
-///    last observed ([`GossipMsg::Attest`]) — observed, not trusted, so
-///    a lie refused by plausibility still testifies. A receiver holding
-///    a different digest for the same `(peer, step)` has proof of
-///    equivocation and raises suspicion straight to the quarantine
-///    threshold.
+///    node sends a height frame, and that frame swears to its neighbors
+///    which `(peer, step, heights digest)` it last observed — observed,
+///    not trusted, so a lie refused by plausibility still testifies
+///    ([`GossipMsg::Heights`]). A receiver holding a different
+///    digest for the same `(peer, step)` has proof of equivocation and
+///    raises suspicion straight to the quarantine threshold. Attestation
+///    relies on every neighbor getting the same frame at the same step,
+///    so frames are never filtered per neighbor.
 ///
 /// At [`DefenseConfig::quarantine_at`] the peer is quarantined: its
 /// routing edge and cached heights are pruned exactly as churn erodes a
@@ -235,12 +282,13 @@ impl DefenseConfig {
 }
 
 impl GossipConfig {
-    /// Sensible defaults: gossip every step, 8-tick steps,
-    /// fire-and-forget links, no defense layer.
+    /// Sensible defaults: a height frame on every change and at least
+    /// every 2 steps, 8-tick steps, fire-and-forget links, no defense
+    /// layer.
     pub fn new(balancing: BalancingConfig, steps: u64) -> Self {
         GossipConfig {
             balancing,
-            refresh_every: 1,
+            refresh_every: 2,
             steps,
             step_len: 8,
             reliability: None,
@@ -287,6 +335,10 @@ pub(crate) struct GossipNode {
     /// step that produced them — the tag is what lets `on_message` refuse
     /// reordered (older) gossip instead of overwriting fresher state.
     cached: BTreeMap<u32, (u64, Vec<u32>)>,
+    /// The last height frame this node sent (honest, as the node built
+    /// it): the next frame is due when the heights differ from it or it
+    /// is `refresh_every` steps old.
+    last_frame: Option<Arc<HeightFrame>>,
     /// Injections scheduled for this node: `(step, dest)`, sorted by step.
     schedule: Vec<(u64, u32)>,
     next_inj: usize,
@@ -330,7 +382,7 @@ pub(crate) struct NodeCounts {
     pub packets_sent: u64,
     /// Distinct packets accepted from neighbors (duplicates excluded).
     pub packets_received: u64,
-    /// Height gossips sent.
+    /// Height frames sent (one per neighbor copy).
     pub gossips_sent: u64,
     /// Reordered (out-of-date) height gossips discarded on receipt.
     pub stale_gossip_dropped: u64,
@@ -338,7 +390,8 @@ pub(crate) struct NodeCounts {
     pub implausible_gossip: u64,
     /// Defense: equivocations proven by attestation mismatch.
     pub equivocations: u64,
-    /// Defense: attestation messages sent.
+    /// Defense: height frames sent with an attestation riding them (one
+    /// per neighbor copy; each is also counted in `gossips_sent`).
     pub attests_sent: u64,
     /// Defense: peers this node quarantined.
     pub quarantines: u64,
@@ -393,8 +446,51 @@ impl GossipNode {
         best.map(|(_, c)| c)
     }
 
-    /// Executed once per routing step: inject scheduled packets, gossip
-    /// heights if due, attest if due, then decide one send per outgoing
+    /// Send every neighbor one shared height frame if one is due: the
+    /// heights changed since the last frame, that frame is
+    /// `refresh_every` steps old, or an attestation is due (which then
+    /// rides the frame).
+    fn send_frame(&mut self, ctx: &mut Ctx<GossipMsg>) {
+        let attest_due = self
+            .cfg
+            .defense
+            .is_some_and(|def| self.step.is_multiple_of(def.attest_every));
+        let due = self.last_frame.as_ref().is_none_or(|last| {
+            *last.heights != *self.heights || self.step - last.step >= self.cfg.refresh_every
+        });
+        if !due && !attest_due {
+            return;
+        }
+        let attest: Box<[(u32, u64, u64)]> = if attest_due {
+            self.observed
+                .iter()
+                .filter_map(|(&peer, hist)| {
+                    hist.iter()
+                        .max_by_key(|&&(step, _)| step)
+                        .map(|&(step, digest)| (peer, step, digest))
+                })
+                .collect()
+        } else {
+            Box::default()
+        };
+        let copies = self.nbrs.len() as u64;
+        self.counts.gossips_sent += copies;
+        if !attest.is_empty() {
+            self.counts.attests_sent += copies;
+        }
+        let frame = Arc::new(HeightFrame::new(
+            self.step,
+            self.heights.as_slice().into(),
+            attest,
+        ));
+        for &(w, _) in &self.nbrs {
+            ctx.send(w, GossipMsg::Heights(Arc::clone(&frame)));
+        }
+        self.last_frame = Some(frame);
+    }
+
+    /// Executed once per routing step: inject scheduled packets, send a
+    /// height frame if one is due, then decide one send per outgoing
     /// edge direction.
     fn run_step(&mut self, ctx: &mut Ctx<GossipMsg>) {
         while self.next_inj < self.schedule.len() && self.schedule[self.next_inj].0 == self.step {
@@ -402,40 +498,7 @@ impl GossipNode {
             self.next_inj += 1;
             self.inject(dest);
         }
-        if self.step.is_multiple_of(self.cfg.refresh_every) {
-            for &(w, _) in &self.nbrs {
-                ctx.send(
-                    w,
-                    GossipMsg::Heights {
-                        step: self.step,
-                        heights: self.heights.clone(),
-                    },
-                );
-                self.counts.gossips_sent += 1;
-            }
-        }
-        if let Some(def) = self.cfg.defense {
-            if self.step.is_multiple_of(def.attest_every) && !self.observed.is_empty() {
-                let frames: Vec<(u32, u64, u64)> = self
-                    .observed
-                    .iter()
-                    .filter_map(|(&peer, hist)| {
-                        hist.iter()
-                            .max_by_key(|&&(step, _)| step)
-                            .map(|&(step, digest)| (peer, step, digest))
-                    })
-                    .collect();
-                for &(w, _) in &self.nbrs {
-                    ctx.send(
-                        w,
-                        GossipMsg::Attest {
-                            frames: frames.clone(),
-                        },
-                    );
-                    self.counts.attests_sent += 1;
-                }
-            }
-        }
+        self.send_frame(ctx);
         for i in 0..self.nbrs.len() {
             let (w, cost) = self.nbrs[i];
             if let Some(c) = self.best_send(w, cost) {
@@ -533,6 +596,71 @@ impl GossipNode {
         }
         true
     }
+
+    /// Take in the heights of a frame `from` sent at its `step`: refuse
+    /// it if reordered behind the cached frame, record what the peer
+    /// said for attestation, and cache it if the defense finds it
+    /// plausible.
+    fn accept_heights(&mut self, from: u32, step: u64, heights: &[u32]) {
+        // Reordered deliveries (any positive-width delay distribution)
+        // must never roll the cache back: keep the entry with the newest
+        // sender step.
+        if self
+            .cached
+            .get(&from)
+            .is_some_and(|&(cached, _)| cached > step)
+        {
+            self.counts.stale_gossip_dropped += 1;
+            return;
+        }
+        // Record what the peer *said* regardless of whether we trust it:
+        // attestation compares observations, so a frame refused as
+        // implausible still convicts an equivocator.
+        if self.cfg.defense.is_some() {
+            let hist = self.observed.entry(from).or_default();
+            if !hist.iter().any(|&(s, _)| s == step) {
+                hist.push((step, heights_digest(heights)));
+                if hist.len() > OBSERVED_WINDOW {
+                    hist.remove(0);
+                }
+            }
+        }
+        if self.vet_heights(from, step, heights) && !self.quarantined.contains(&from) {
+            let (cached_step, cached) = self.cached.entry(from).or_default();
+            *cached_step = step;
+            cached.clear();
+            cached.extend_from_slice(heights);
+        }
+    }
+
+    /// Compare a neighbor's sworn record only against frames *we*
+    /// observed first-hand — never third-party claims against each
+    /// other, so no attester can frame a peer alone. Matching
+    /// `(peer, step)` with differing digests is proof of equivocation:
+    /// quarantine immediately.
+    fn check_attestation(&mut self, from: u32, attest: &[(u32, u64, u64)]) {
+        let Some(def) = self.cfg.defense else { return };
+        if self.quarantined.contains(&from) {
+            return;
+        }
+        let mut caught: Vec<u32> = Vec::new();
+        for &(peer, step, digest) in attest {
+            if self.quarantined.contains(&peer) {
+                continue;
+            }
+            if let Some(hist) = self.observed.get(&peer) {
+                if let Some(&(_, my_digest)) = hist.iter().find(|&&(s, _)| s == step) {
+                    if my_digest != digest {
+                        caught.push(peer);
+                    }
+                }
+            }
+        }
+        for peer in caught {
+            self.counts.equivocations += 1;
+            self.suspect(peer, def.quarantine_at);
+        }
+    }
 }
 
 impl Actor for GossipNode {
@@ -547,70 +675,14 @@ impl Actor for GossipNode {
 
     fn on_message(&mut self, _ctx: &mut Ctx<GossipMsg>, from: u32, msg: GossipMsg) {
         match msg {
-            GossipMsg::Heights { step, heights } => {
+            GossipMsg::Heights(frame) => {
                 // A quarantined peer's word is worthless: ignore it.
                 if self.quarantined.contains(&from) {
                     return;
                 }
-                // Reordered deliveries (any positive-width delay
-                // distribution) must never roll the cache back: keep the
-                // entry with the newest sender step.
-                match self.cached.get(&from) {
-                    Some(&(cached_step, _)) if cached_step > step => {
-                        self.counts.stale_gossip_dropped += 1;
-                    }
-                    _ => {
-                        // Record what the peer *said* regardless of
-                        // whether we trust it: attestation compares
-                        // observations, so a frame refused as
-                        // implausible still convicts an equivocator.
-                        if self.cfg.defense.is_some() {
-                            let hist = self.observed.entry(from).or_default();
-                            if !hist.iter().any(|&(s, _)| s == step) {
-                                hist.push((step, heights_digest(&heights)));
-                                if hist.len() > OBSERVED_WINDOW {
-                                    hist.remove(0);
-                                }
-                            }
-                        }
-                        if self.vet_heights(from, step, &heights)
-                            && !self.quarantined.contains(&from)
-                        {
-                            self.cached.insert(from, (step, heights));
-                        }
-                    }
-                }
-            }
-            GossipMsg::Attest { frames } => {
-                // Compare a neighbor's sworn record only against frames
-                // *we* accepted first-hand — never third-party claims
-                // against each other, so no attester can frame a peer
-                // alone. Matching `(peer, step)` with differing digests
-                // is proof of equivocation: quarantine immediately.
-                if self.cfg.defense.is_none() || self.quarantined.contains(&from) {
-                    return;
-                }
-                let mut caught: Vec<u32> = Vec::new();
-                for (peer, step, digest) in frames {
-                    if self.quarantined.contains(&peer) {
-                        continue;
-                    }
-                    if let Some(hist) = self.observed.get(&peer) {
-                        if let Some(&(_, my_digest)) = hist.iter().find(|&&(s, _)| s == step) {
-                            if my_digest != digest {
-                                caught.push(peer);
-                            }
-                        }
-                    }
-                }
-                for peer in caught {
-                    self.counts.equivocations += 1;
-                    let threshold = self
-                        .cfg
-                        .defense
-                        .expect("defense checked above")
-                        .quarantine_at;
-                    self.suspect(peer, threshold);
+                self.accept_heights(from, frame.step, &frame.heights);
+                if !frame.attest.is_empty() {
+                    self.check_attestation(from, &frame.attest);
                 }
             }
             GossipMsg::Packet { dest, .. } => {
@@ -678,7 +750,7 @@ pub struct GossipRun {
     pub buffered: u64,
     /// Packet transmissions attempted.
     pub packets_sent: u64,
-    /// Height gossips sent.
+    /// Height frames sent (one per neighbor copy).
     pub gossips_sent: u64,
     /// Reordered height gossips discarded instead of overwriting fresher
     /// cached values.
@@ -693,7 +765,8 @@ pub struct GossipRun {
     pub implausible_gossip: u64,
     /// Defense: equivocations proven by attestation mismatch.
     pub equivocations: u64,
-    /// Defense: attestation messages sent.
+    /// Defense: height frames sent with an attestation riding them (one
+    /// per neighbor copy; each is also counted in `gossips_sent`).
     pub attests_sent: u64,
     /// Defense: quarantine events (each node quarantining a peer counts
     /// once).
@@ -794,6 +867,7 @@ pub(crate) fn build_nodes(
             dests: dests.to_vec(),
             heights: vec![0; dests.len()],
             cached: BTreeMap::new(),
+            last_frame: None,
             schedule: std::mem::take(&mut schedules[id as usize]),
             next_inj: 0,
             cfg,
@@ -975,16 +1049,17 @@ mod tests {
     use adhoc_routing::{ActiveEdge, BalancingRouter};
 
     /// Every variant and field of a gossip message changes its digest
-    /// encoding, and vectors are length-prefixed: `Heights [1,2]` then
-    /// `[3]` is not `[1]` then `[2,3]`, and likewise for `Attest`.
+    /// encoding, and vectors are length-prefixed: heights `[1,2]` then
+    /// `[3]` is not `[1]` then `[2,3]`, and likewise for attestations.
+    /// A frame writes its variant tag and the digest of its encoding.
     #[test]
     fn digest_encoding_separates_variants_fields_and_vectors() {
         use crate::stats::message_digest;
-        let heights = |step, h: &[u32]| GossipMsg::Heights {
-            step,
-            heights: h.to_vec(),
+        let frame = |step, h: &[u32], a: &[(u32, u64, u64)]| {
+            GossipMsg::Heights(Arc::new(HeightFrame::new(step, h.into(), a.into())))
         };
-        let attest = |f: &[(u32, u64, u64)]| GossipMsg::Attest { frames: f.to_vec() };
+        let heights = |step, h: &[u32]| frame(step, h, &[]);
+        let attest = |a: &[(u32, u64, u64)]| frame(1, &[], a);
         let packet = |dest, seq| GossipMsg::Packet { dest, seq };
         let msgs = [
             heights(1, &[1, 2]),
@@ -999,26 +1074,39 @@ mod tests {
             attest(&[(4, 2, 3)]),
             attest(&[(1, 4, 3)]),
             attest(&[(1, 2, 4)]),
-            attest(&[]),
+            frame(1, &[1, 2], &[(1, 2, 3)]),
         ];
         let digests: BTreeSet<u64> = msgs.iter().map(message_digest).collect();
         assert_eq!(digests.len(), msgs.len());
 
         // Each vector is written as its length, then its elements.
         let mut w = DigestWriter::new();
-        w.u8(0);
         w.u64(5);
         w.len_prefix(2);
         w.u32(1);
         w.u32(2);
-        assert_eq!(message_digest(&heights(5, &[1, 2])), w.finish());
-        let mut w = DigestWriter::new();
-        w.u8(2);
         w.len_prefix(1);
-        w.u32(1);
-        w.u64(2);
-        w.u64(3);
-        assert_eq!(message_digest(&attest(&[(1, 2, 3)])), w.finish());
+        w.u32(3);
+        w.u64(4);
+        w.u64(6);
+        let encoding = w.finish();
+        let mut w = DigestWriter::new();
+        w.u8(0);
+        w.u64(encoding);
+        assert_eq!(message_digest(&frame(5, &[1, 2], &[(3, 4, 6)])), w.finish());
+
+        // Forging a copy re-digests it and leaves the shared frame alone.
+        let shared = Arc::new(HeightFrame::new(5, [1, 2].into(), [(3, 4, 6)].into()));
+        let mut copy = Arc::clone(&shared);
+        HeightFrame::forge(&mut copy, |h| h.fill(0));
+        assert_eq!(
+            *shared,
+            HeightFrame::new(5, [1, 2].into(), [(3, 4, 6)].into())
+        );
+        assert_eq!(
+            *copy,
+            HeightFrame::new(5, [0, 0].into(), [(3, 4, 6)].into())
+        );
 
         let pair = |a: &GossipMsg, b: &GossipMsg| {
             let mut w = DigestWriter::new();
@@ -1035,6 +1123,19 @@ mod tests {
             pair(&attest(&[f(1), f(2)]), &attest(&[f(3)])),
             pair(&attest(&[f(1)]), &attest(&[f(2), f(3)]))
         );
+    }
+
+    /// The attestation digest is the FNV-1a digest of the heights'
+    /// little-endian bytes, the same hash as the replay digest.
+    #[test]
+    fn heights_digest_is_fnv1a_over_le_bytes() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in [7u32, 0, u32::MAX].iter().flat_map(|v| v.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(heights_digest(&[7, 0, u32::MAX]), h);
+        assert_eq!(heights_digest(&[]), 0xcbf2_9ce4_8422_2325);
     }
 
     fn chain(n: usize) -> SpatialGraph {
@@ -1112,24 +1213,160 @@ mod tests {
         assert_ne!(go(6).digest, a.digest);
     }
 
+    /// `refresh_every` bounds the silence between frames, not the
+    /// frame rate: at 1 every node sends a frame every step, and longer
+    /// silences drop only the frames that would repeat unchanged heights.
+    /// On ideal links every change still reaches the neighbors before
+    /// their next step, so every routing decision, and the throughput,
+    /// stays exactly that of a frame every step.
     #[test]
     fn refresh_knob_trades_control_traffic_for_throughput() {
         let topo = chain(4);
-        let wl = uniform_workload(4, &[3], 600, 1, 4);
+        let steps = 600;
+        let wl = uniform_workload(4, &[3], steps, 1, 4);
         let go = |refresh| {
-            let mut c = cfg(600);
+            let mut c = cfg(steps);
             c.refresh_every = refresh;
             balance(&topo, &[3], c, &wl, FaultConfig::ideal(), 9)
         };
-        let fresh = go(1);
-        let stale = go(10);
-        assert!(fresh.conserved() && stale.conserved());
-        // Control traffic scales inversely with the period...
-        assert!(stale.gossips_sent * 5 < fresh.gossips_sent);
-        // ...while delivery degrades gracefully, not catastrophically
-        // (mirrors StaleBalancingRouter's ablation test).
-        assert!(stale.absorbed * 4 >= fresh.absorbed);
-        assert!(stale.absorbed > 0);
+        let every_step = go(1);
+        // One frame per step on each of the chain's 6 directed edges.
+        assert_eq!(every_step.gossips_sent, steps * 6);
+        let mut prev = every_step.gossips_sent;
+        for refresh in [2, 4, 10] {
+            let run = go(refresh);
+            assert!(run.conserved(), "{run:?}");
+            assert!(run.gossips_sent < prev, "refresh {refresh}: {run:?}");
+            prev = run.gossips_sent;
+            assert_eq!(run.absorbed, every_step.absorbed, "refresh {refresh}");
+            assert_eq!(run.packets_sent, every_step.packets_sent);
+        }
+        // A 10-step silence sends under 60 % of the every-step frames.
+        assert!(prev * 10 < every_step.gossips_sent * 6, "{prev}");
+    }
+
+    /// With no traffic no height ever changes, so frames go out only at
+    /// the longest-silence and attestation cadence, and the count of
+    /// frames sent has a closed form.
+    #[test]
+    fn an_idle_network_gossips_only_at_the_silence_and_attestation_cadence() {
+        let topo = triangle_tail();
+        let directed_edges = 2 * topo.graph.num_edges() as u64;
+        let idle = |refresh, defense: Option<DefenseConfig>| {
+            let mut c = cfg(101);
+            c.refresh_every = refresh;
+            c.defense = defense;
+            balance(&topo, &[3], c, &[], FaultConfig::ideal(), 1)
+        };
+        // Defense off: a frame at step 0, then one per silence.
+        for refresh in [1u64, 2, 3, 7] {
+            let run = idle(refresh, None);
+            let frames = 101u64.div_ceil(refresh);
+            assert_eq!(run.gossips_sent, frames * directed_edges, "{refresh}");
+            assert_eq!(run.stats.per_kind["heights"].delivered, run.gossips_sent);
+            assert_eq!(run.attests_sent, 0);
+            assert!(!run.stats.per_kind.contains_key("packet"));
+        }
+        // Attestation every 2 steps inside a 5-step silence: a frame every
+        // other step, each carrying an attestation but the first (at step
+        // 0 the node has observed nobody yet).
+        let attest_every_2 = DefenseConfig {
+            attest_every: 2,
+            ..DefenseConfig::default()
+        };
+        let run = idle(5, Some(attest_every_2));
+        assert_eq!(run.gossips_sent, 101u64.div_ceil(2) * directed_edges);
+        assert_eq!(run.attests_sent, (101u64.div_ceil(2) - 1) * directed_edges);
+        // Attestation every 3 steps with a 2-step silence: frames at the
+        // steps `s` with `s % 3` in {0, 2}, the keepalive at 3m + 2
+        // resetting the silence before 3m + 4.
+        let attest_every_3 = DefenseConfig {
+            attest_every: 3,
+            ..DefenseConfig::default()
+        };
+        let run = idle(2, Some(attest_every_3));
+        let frames = (0..101u64).filter(|s| s % 3 != 1).count() as u64;
+        assert_eq!(run.gossips_sent, frames * directed_edges);
+        assert_eq!(run.attests_sent, (101u64.div_ceil(3) - 1) * directed_edges);
+        assert_eq!(run.quarantines, 0, "{run:?}");
+    }
+
+    /// A frame lost on the wire is repaired by the sender's next frame,
+    /// which follows within `refresh_every` steps and carries its current
+    /// heights; the receiver's cache never rolls back. Node 0's heights
+    /// change every 7th step and hold in between, over links that lose
+    /// 40 % of frames; the run is stepped one event at a time to log
+    /// every frame node 0 sends and every value node 1 caches for it.
+    #[test]
+    fn a_dropped_change_frame_is_repaired_within_the_longest_silence() {
+        let topo = chain(2);
+        let (steps, refresh) = (200u64, 3u64);
+        let mut c = GossipConfig::new(
+            BalancingConfig {
+                threshold: 1e9,
+                gamma: 0.0,
+                capacity: 1000,
+            },
+            steps,
+        );
+        c.refresh_every = refresh;
+        let wl: Vec<(u64, u32, u32)> = (0..steps).step_by(7).map(|s| (s, 0, 1)).collect();
+        let faults = FaultConfig {
+            drop_prob: 0.4,
+            duplicate_prob: 0.0,
+            delay: DelayDist::Uniform { min: 1, max: 4 },
+        };
+        let nodes = build_nodes(&topo, &[1], c, &wl);
+        let mut rt = Runtime::new(nodes, &topo.points, 1.0, faults, 3, &ChurnPlan::new());
+        let mut sent: Vec<(u64, Vec<u32>)> = Vec::new();
+        let mut cached: Vec<(u64, Vec<u32>)> = Vec::new();
+        while !rt.run_with_limit(1) {
+            let (sender, receiver) = (rt.node(0), rt.node(1));
+            if sender.counts.gossips_sent > sent.len() as u64 {
+                let f = sender.last_frame.as_ref().expect("a frame was sent");
+                sent.push((f.step, f.heights.to_vec()));
+            }
+            if let Some(c) = receiver.cached.get(&0) {
+                if cached.last() != Some(c) {
+                    cached.push(c.clone());
+                }
+            }
+        }
+        assert_eq!(rt.node(0).counts.gossips_sent, sent.len() as u64);
+        // Frames go out on change or after the longest silence, never
+        // otherwise and never later.
+        assert_eq!(sent[0].0, 0);
+        for w in sent.windows(2) {
+            let gap = w[1].0 - w[0].0;
+            assert!(gap <= refresh, "{w:?}");
+            assert!(gap == refresh || w[1].1 != w[0].1, "{w:?}");
+        }
+        // The cache only moves forward, to frames node 0 actually sent.
+        for w in cached.windows(2) {
+            assert!(w[0].0 < w[1].0, "cache rolled back: {w:?}");
+        }
+        for c in &cached {
+            assert!(sent.contains(c), "cached a frame never sent: {c:?}");
+        }
+        // Every lost change-frame is superseded by the next frame, sent
+        // within the silence bound; count those whose next frame arrived.
+        let delivered = |step: u64| cached.iter().any(|&(s, _)| s == step);
+        let mut repaired = 0;
+        for (i, w) in sent.windows(2).enumerate() {
+            let changed = i == 0 || w[0].1 != sent[i - 1].1;
+            if changed && !delivered(w[0].0) && delivered(w[1].0) {
+                assert!(w[1].0 - w[0].0 <= refresh);
+                assert_eq!(w[1].1, w[0].1, "no change in between here");
+                repaired += 1;
+            }
+        }
+        assert!(
+            repaired >= 3,
+            "seed 3 lost too few change-frames: {repaired}"
+        );
+        // And the run ends with node 1 holding node 0's final heights.
+        let last = cached.last().expect("some frame arrived");
+        assert_eq!(last.1, rt.node(0).heights);
     }
 
     #[test]

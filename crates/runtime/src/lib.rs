@@ -90,7 +90,7 @@ pub use event::{Event, EventKey, EventKind, EventQueue, Payload};
 pub use fault::{DelayDist, FaultConfig, TransmitOutcome};
 pub use gossip::{
     run_gossip_balancing_adversarial, uniform_workload, DefenseConfig, GossipConfig, GossipMsg,
-    GossipRun,
+    GossipRun, HeightFrame,
 };
 pub use node::{Actor, Ctx, Message};
 pub use reliable::{LinkCounters, ReliableActor, ReliableConfig, ReliableMsg, RELIABLE_TIMER};
