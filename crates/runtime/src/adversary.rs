@@ -86,17 +86,14 @@ pub enum Attack {
     },
     /// Equivocation: tell different neighbors different heights (zeros
     /// to even node ids, `u32::MAX` to odd ones), corrupting the
-    /// gradient inconsistently. Only unicast control frames are
-    /// differentiated — a radio broadcast is one transmission and
-    /// cannot per-receiver equivocate. Caught by signed-digest
-    /// attestation among common neighbors.
+    /// gradient inconsistently. Caught by signed-digest attestation
+    /// among common neighbors.
     Equivocate,
 }
 
 impl Attack {
-    /// Forge the heights of one outgoing `Heights` frame toward `to`
-    /// (`u32::MAX` for a broadcast, which falls in the odd bucket); the
-    /// frame keeps its own step stamp and attestation. A forged copy is
+    /// Forge the heights of one outgoing `Heights` frame toward `to`;
+    /// the frame keeps its own step stamp and attestation. A forged copy is
     /// this copy's own ([`HeightFrame::forge`]): the frame the other
     /// copies and the node itself share is never written. `frozen` is
     /// the replay capture: the heights of the first frame a replaying
@@ -342,14 +339,13 @@ impl AdversarialActor {
     ) {
         let (sends, broadcasts) = (ctx.sends.len(), ctx.broadcasts.len());
         f(&mut self.inner, ctx);
+        debug_assert_eq!(ctx.broadcasts.len(), broadcasts, "gossip never broadcasts");
         let now = ctx.now();
         let active = &self.attacks[..self.attacks.partition_point(|&(at, _)| at <= now)];
-        let unicast = ctx.sends[sends..].iter_mut().map(|(to, m)| (*to, m));
-        let broadcast = ctx.broadcasts[broadcasts..].iter_mut();
-        for (to, msg) in unicast.chain(broadcast.map(|m| (u32::MAX, m))) {
+        for (to, msg) in &mut ctx.sends[sends..] {
             if let GossipMsg::Heights(frame) = msg {
                 for (_, attack) in active {
-                    attack.forge(to, frame, &mut self.frozen);
+                    attack.forge(*to, frame, &mut self.frozen);
                 }
             }
         }

@@ -10,12 +10,8 @@
 //! That invariance is what lets a run split over several cores reproduce
 //! the one-core replay digest bit for bit.
 
-use crate::node::Message;
-use crate::stats::{message_digest, DigestWriter};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::fmt;
-use std::sync::Arc;
 
 /// Canonical tie-break key for events scheduled at the same tick.
 ///
@@ -72,79 +68,14 @@ impl EventKey {
     }
 }
 
-/// A delivery payload: owned for unicasts, reference-counted for
-/// broadcast fan-out so one broadcast costs one allocation instead of a
-/// deep clone per neighbor (the per-neighbor clones dominated large-run
-/// profiles). Transcript records render the borrowed `M`
-/// ([`Payload::get`]) either way, but they digest the two
-/// representations differently (`Payload::digest_into`): a unicast
-/// writes its message's encoding, while every copy of a broadcast writes
-/// the one encoding digest taken when the broadcast left its sender, so
-/// a message is digested once however many neighbors it reaches.
-#[derive(Clone)]
-pub enum Payload<M> {
-    /// A payload with a single addressee (unicast copy).
-    Own(M),
-    /// One broadcast's payload and the digest of its encoding, shared by
-    /// every per-neighbor copy. The last surviving copy unwraps the `Arc`
-    /// and moves the message; earlier copies clone at delivery time — so
-    /// copies dropped by the fault layer never pay for a clone at all.
-    Shared(Arc<(M, u64)>),
-}
-
-impl<M> Payload<M> {
-    /// Borrow the message.
-    pub fn get(&self) -> &M {
-        match self {
-            Payload::Own(m) => m,
-            Payload::Shared(m) => &m.0,
-        }
-    }
-
-    /// Take the message, cloning only if other copies still share it.
-    pub fn into_msg(self) -> M
-    where
-        M: Clone,
-    {
-        match self {
-            Payload::Own(m) => m,
-            Payload::Shared(m) => Arc::try_unwrap(m).map_or_else(|m| m.0.clone(), |(m, _)| m),
-        }
-    }
-}
-
-impl<M: Message> Payload<M> {
-    /// Share `msg` among a broadcast's copies, digesting its encoding
-    /// once here.
-    pub(crate) fn shared(msg: M) -> Self {
-        let digest = message_digest(&msg);
-        Payload::Shared(Arc::new((msg, digest)))
-    }
-
-    /// Write this copy's message into a transcript record: a unicast's
-    /// encoding, or a broadcast's encoding digest.
-    pub(crate) fn digest_into(&self, w: &mut DigestWriter) {
-        match self {
-            Payload::Own(m) => m.digest_into(w),
-            Payload::Shared(m) => w.u64(m.1),
-        }
-    }
-}
-
-impl<M: fmt::Debug> fmt::Debug for Payload<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.get().fmt(f)
-    }
-}
-
 /// What happens when an event fires.
 #[derive(Debug, Clone)]
 pub enum EventKind<M> {
     /// A message arrives at the owner's mailbox (sender in
     /// [`EventKey::src`]).
     Deliver {
-        /// Payload (owned or broadcast-shared).
-        msg: Payload<M>,
+        /// The message; each copy of a broadcast is its own clone.
+        msg: M,
     },
     /// A timer set by the owner fires.
     Timer {
@@ -502,13 +433,7 @@ mod tests {
     fn orders_by_time_then_canonical_key() {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.push(5, EventKey::timer(0, 0), EventKind::Timer { timer: 0 });
-        q.push(
-            3,
-            EventKey::deliver(0, 2, 0),
-            EventKind::Deliver {
-                msg: Payload::Own(9),
-            },
-        );
+        q.push(3, EventKey::deliver(0, 2, 0), EventKind::Deliver { msg: 9 });
         q.push(3, EventKey::timer(1, 0), EventKind::Timer { timer: 0 });
         q.push(1, EventKey::timer(3, 0), EventKind::Timer { timer: 0 });
         let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
@@ -522,28 +447,10 @@ mod tests {
     #[test]
     fn same_tick_same_node_is_timer_then_sender_then_link_seq() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        q.push(
-            4,
-            EventKey::deliver(7, 2, 1),
-            EventKind::Deliver {
-                msg: Payload::Own(3),
-            },
-        );
-        q.push(
-            4,
-            EventKey::deliver(5, 2, 0),
-            EventKind::Deliver {
-                msg: Payload::Own(1),
-            },
-        );
+        q.push(4, EventKey::deliver(7, 2, 1), EventKind::Deliver { msg: 3 });
+        q.push(4, EventKey::deliver(5, 2, 0), EventKind::Deliver { msg: 1 });
         q.push(4, EventKey::timer(2, 9), EventKind::Timer { timer: 1 });
-        q.push(
-            4,
-            EventKey::deliver(7, 2, 0),
-            EventKind::Deliver {
-                msg: Payload::Own(2),
-            },
-        );
+        q.push(4, EventKey::deliver(7, 2, 0), EventKind::Deliver { msg: 2 });
         let keys: Vec<EventKey> = std::iter::from_fn(|| q.pop()).map(|e| e.key).collect();
         assert_eq!(
             keys,
@@ -629,9 +536,7 @@ mod tests {
                     q.insert(Event {
                         time,
                         key,
-                        kind: EventKind::Deliver {
-                            msg: Payload::Own(seq),
-                        },
+                        kind: EventKind::Deliver { msg: seq },
                     });
                 }
                 reference.push(Reverse((time, key)));
@@ -678,9 +583,7 @@ mod tests {
                     q.insert(Event {
                         time,
                         key,
-                        kind: EventKind::Deliver {
-                            msg: Payload::Own(seq),
-                        },
+                        kind: EventKind::Deliver { msg: seq },
                     });
                     r.push(Reverse((time, key)));
                     seq += 1;
@@ -692,7 +595,7 @@ mod tests {
                         let EventKind::Deliver { msg } = &e.kind else {
                             panic!("seed {seed}: popped a placeholder");
                         };
-                        assert_eq!(*msg.get(), e.key.seq, "seed {seed}");
+                        assert_eq!(*msg, e.key.seq, "seed {seed}");
                         (e.time, e.key)
                     });
                     assert_eq!(got, r.pop().map(|Reverse(e)| e), "seed {seed}");

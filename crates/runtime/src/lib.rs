@@ -86,7 +86,7 @@ pub mod theta;
 
 pub use adversary::{AdversaryEntry, AdversaryPlan, Attack};
 pub use churn::{ChurnEntry, ChurnKind, ChurnPlan, MemberState};
-pub use event::{Event, EventKey, EventKind, EventQueue, Payload};
+pub use event::{Event, EventKey, EventKind, EventQueue};
 pub use fault::{DelayDist, FaultConfig, TransmitOutcome};
 pub use gossip::{
     run_gossip_balancing_adversarial, uniform_workload, DefenseConfig, GossipConfig, GossipMsg,

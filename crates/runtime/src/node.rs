@@ -27,7 +27,10 @@ pub trait Message: Clone + Debug {
     /// Write this message into the replay digest: a variant tag (for
     /// enums), then every field, with sequences length-prefixed
     /// ([`DigestWriter::len_prefix`]), so that distinct messages never
-    /// write the same bytes.
+    /// write the same bytes. A message whose copies share a large body
+    /// keeps it behind an `Arc` with its encoding digest, taken once when
+    /// the body is built, and writes that `u64` (ΘALG's
+    /// [`Beacon`](crate::Beacon), gossip's [`HeightFrame`](crate::HeightFrame)).
     fn digest_into(&self, w: &mut DigestWriter);
 }
 
@@ -136,8 +139,9 @@ impl<M> Ctx<M> {
         self.sends.push((to, msg));
     }
 
-    /// Broadcast `msg` to every node within radio range; each copy
-    /// traverses its link independently (faults are per-receiver).
+    /// Broadcast `msg` to every node within radio range: each neighbor
+    /// gets a clone, which traverses its link independently (faults are
+    /// per-receiver), so a large body belongs behind an `Arc`.
     pub fn broadcast(&mut self, msg: M) {
         self.broadcasts.push(msg);
     }

@@ -36,7 +36,7 @@
 //! stats, and actor states.
 
 use crate::churn::{ChurnDelta, Radio};
-use crate::event::{Event, EventKey, EventKind, EventQueue, Payload};
+use crate::event::{Event, EventKey, EventKind, EventQueue};
 use crate::fault::{FaultConfig, TransmitOutcome};
 use crate::node::{Actor, Ctx, Message};
 use crate::runtime::{Cores, LinkRow, Runtime};
@@ -181,9 +181,9 @@ impl<A: Actor> Shard<A> {
                 EventKind::Deliver { msg } => {
                     let from = ev.key.src;
                     self.stats.delivered += 1;
-                    self.kinds.get(msg.get().kind()).delivered += 1;
+                    self.kinds.get(msg.kind()).delivered += 1;
                     self.notes.note_msg(Tag::Deliver, now, from, node, &msg);
-                    self.callback(node, now, |a, ctx| a.on_message(ctx, from, msg.into_msg()));
+                    self.callback(node, now, |a, ctx| a.on_message(ctx, from, msg));
                 }
                 EventKind::Timer { timer } => {
                     self.stats.timers_fired += 1;
@@ -210,7 +210,6 @@ impl<A: Actor> Shard<A> {
         let (node, now) = (ctx.node, ctx.now());
         let total = self.slot.len() as u32;
         for (to, msg) in ctx.sends.drain(..) {
-            let msg = Payload::Own(msg);
             // The `G*` locality discipline: a nonexistent target is a
             // programming error; an in-plane but out-of-range one is
             // physically unreachable, so the copy is discarded and
@@ -229,14 +228,12 @@ impl<A: Actor> Shard<A> {
         }
         for msg in ctx.broadcasts.drain(..) {
             self.stats.broadcasts += 1;
-            // One shared payload, digested once, for the whole fan-out;
-            // fan-out order is the sorted neighbor list, so no locality
-            // check is needed. The row is indexed, not borrowed, because
-            // `transmit_link` takes the whole core.
-            let shared = Payload::shared(msg);
+            // Each neighbor gets a clone, in sorted row order, so no
+            // locality check is needed; the row is indexed, not borrowed,
+            // because `transmit_link` takes the whole core.
             for i in 0..self.radio.neighbors[node as usize].len() {
                 let to = self.radio.neighbors[node as usize][i];
-                self.transmit_link(now, node, to, shared.clone());
+                self.transmit_link(now, node, to, msg.clone());
             }
         }
         for (at, timer) in ctx.timers.drain(..) {
@@ -250,9 +247,9 @@ impl<A: Actor> Shard<A> {
 
     /// Push one copy across a radio link, applying the fault model on the
     /// link's private RNG stream.
-    fn transmit_link(&mut self, now: u64, from: u32, to: u32, msg: Payload<A::Msg>) {
+    fn transmit_link(&mut self, now: u64, from: u32, to: u32, msg: A::Msg) {
         self.stats.sent += 1;
-        let counts = self.kinds.get(msg.get().kind());
+        let counts = self.kinds.get(msg.kind());
         counts.sent += 1;
         let link = self.links[from as usize].link(self.seed, from, to);
         match self.faults.transmit(&mut link.rng) {
@@ -281,7 +278,7 @@ impl<A: Actor> Shard<A> {
     /// inlines it into `transmit_link` flips with unrelated edits to the
     /// crate, and out of line it made one-thread ΘALG runs ~5 % slower.
     #[inline(always)]
-    fn route(&mut self, time: u64, key: EventKey, msg: Payload<A::Msg>) {
+    fn route(&mut self, time: u64, key: EventKey, msg: A::Msg) {
         let ev = Event {
             time,
             key,
@@ -752,51 +749,6 @@ mod tests {
             assert_eq!(seq.nodes(), sh.nodes(), "actor state diverged");
             assert_eq!(seq_now, sh_now, "virtual end time diverged");
         }
-    }
-
-    /// A broadcast's payload is digested once when it leaves its sender,
-    /// not once per delivered copy.
-    #[test]
-    fn broadcast_payload_is_digested_once() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static DIGESTS: AtomicU64 = AtomicU64::new(0);
-
-        #[derive(Debug, Clone)]
-        struct Counted;
-
-        impl Message for Counted {
-            fn digest_into(&self, _w: &mut crate::DigestWriter) {
-                DIGESTS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        /// Node 0 broadcasts `BROADCASTS` times at start; the rest listen.
-        struct Shout(u32);
-
-        impl Actor for Shout {
-            type Msg = Counted;
-
-            fn on_start(&mut self, ctx: &mut Ctx<Counted>) {
-                if self.0 == 0 {
-                    for _ in 0..BROADCASTS {
-                        ctx.broadcast(Counted);
-                    }
-                }
-            }
-
-            fn on_message(&mut self, _ctx: &mut Ctx<Counted>, _from: u32, _msg: Counted) {}
-        }
-
-        const BROADCASTS: u64 = 3;
-        let k = 8u32;
-        let pts: Vec<Point> = (0..=k)
-            .map(|i| Point::new(0.01 * f64::from(i), 0.0))
-            .collect();
-        let nodes = (0..=k).map(Shout).collect();
-        let mut rt = Runtime::new(nodes, &pts, 1.0, FaultConfig::ideal(), 3, &ChurnPlan::new());
-        rt.run(1);
-        assert_eq!(rt.stats().delivered, BROADCASTS * u64::from(k));
-        assert_eq!(DIGESTS.load(Ordering::Relaxed), BROADCASTS);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Runtime instrumentation: message counters and the replay transcript.
 
 use crate::churn::ChurnKind;
-use crate::event::Payload;
 use crate::node::Message;
 use std::collections::BTreeMap;
 
@@ -334,9 +333,7 @@ impl WindowFolds {
 /// layout of the rest of it:
 ///
 /// * message records `D X K L`: `tag, time: u64, from: u32, to: u32`,
-///   then the message's [`Message::digest_into`] encoding — or, for a
-///   copy of a broadcast, that encoding's digest as one `u64`
-///   ([`Payload::digest_into`]);
+///   then the message's [`Message::digest_into`] encoding;
 /// * timer records `T A`: `tag, time: u64, node: u32, timer: u32`;
 /// * churn records `J M` (`tag, time: u64, node: u32, x: f64, y: f64`) and
 ///   `G C` (`tag, time: u64, node: u32`).
@@ -429,7 +426,7 @@ impl WindowNotes {
         time: u64,
         from: u32,
         to: u32,
-        msg: &Payload<M>,
+        msg: &M,
     ) {
         let owner = match tag {
             Tag::Deliver | Tag::Lost => to,
@@ -533,8 +530,9 @@ impl WindowNotes {
     }
 }
 
-/// The digest of `msg`'s encoding alone: what every copy of a broadcast
-/// writes into its records ([`Payload::digest_into`]).
+/// The digest of `msg`'s encoding alone, for tests that compare
+/// encodings.
+#[cfg(test)]
 pub(crate) fn message_digest<M: Message>(msg: &M) -> u64 {
     let mut w = DigestWriter::new();
     msg.digest_into(&mut w);
@@ -654,7 +652,7 @@ mod tests {
                 let mut w = WindowNotes::new(1, false);
                 match tag {
                     Tag::Deliver | Tag::Drop | Tag::Lost | Tag::NonNeighbor => {
-                        w.note_msg(tag, 3, 0, 0, &Payload::Own(Word(1)))
+                        w.note_msg(tag, 3, 0, 0, &Word(1))
                     }
                     Tag::Timer | Tag::Abandoned => w.note_timer(tag, 3, 0, 1),
                     Tag::Join => w.note_churn(3, 0, &ChurnKind::Join(p)),
@@ -702,9 +700,8 @@ mod tests {
             for i in 0..50u32 {
                 let node = i % 4;
                 let t = u64::from(i);
-                let (unicast, broadcast) = (Payload::Own(Word(i)), Payload::shared(Word(i)));
-                w.note_msg(Tag::Deliver, t, (node + 1) % 4, node, &unicast);
-                w.note_msg(Tag::Drop, t, node, (node + 1) % 4, &broadcast);
+                w.note_msg(Tag::Deliver, t, (node + 1) % 4, node, &Word(i));
+                w.note_msg(Tag::Drop, t, node, (node + 1) % 4, &Word(i));
                 w.note_timer(Tag::Timer, t, node, i);
                 w.note_churn(t, node, &ChurnKind::Drift(Point::new(f64::from(i), 0.5)));
             }

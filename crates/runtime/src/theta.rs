@@ -84,7 +84,8 @@ const BEACON_FLOOR: u32 = 2;
 /// in one boxed slice — first the *awaiting* ids (nodes the sender heard
 /// that have not yet shown they heard it), then the *mentioned* ids
 /// (other nodes the sender owes an "I heard you"). A node in either list
-/// knows the sender heard it.
+/// knows the sender heard it. Every copy of a broadcast shares the beacon
+/// and the digest of its encoding, taken when the beacon is built.
 #[derive(Debug, PartialEq)]
 pub struct Beacon {
     /// The sender's coordinates.
@@ -92,9 +93,34 @@ pub struct Beacon {
     ids: Box<[u32]>,
     /// Length of the awaiting prefix of `ids`.
     split: u32,
+    /// The digest of the whole `Position` encoding, which each copy writes.
+    digest: u64,
 }
 
 impl Beacon {
+    /// Build a beacon and digest its `Position` encoding: variant byte
+    /// `0`, the coordinates, then each id list, length-prefixed.
+    fn new(pos: Point, ids: Box<[u32]>, split: u32) -> Self {
+        let mut w = DigestWriter::new();
+        w.u8(0);
+        w.f64(pos.x);
+        w.f64(pos.y);
+        let (awaiting, mentioned) = ids.split_at(split as usize);
+        for list in [awaiting, mentioned] {
+            w.len_prefix(list.len());
+            for &id in list {
+                w.u32(id);
+            }
+        }
+        let digest = w.finish();
+        Beacon {
+            pos,
+            ids,
+            split,
+            digest,
+        }
+    }
+
     /// Nodes the sender heard that have not yet shown they heard it.
     pub(crate) fn awaiting(&self) -> &[u32] {
         &self.ids[..self.split as usize]
@@ -141,17 +167,8 @@ impl Message for ThetaMsg {
 
     fn digest_into(&self, w: &mut DigestWriter) {
         match self {
-            ThetaMsg::Position(b) => {
-                w.u8(0);
-                w.f64(b.pos.x);
-                w.f64(b.pos.y);
-                for list in [b.awaiting(), b.mentioned()] {
-                    w.len_prefix(list.len());
-                    for &id in list {
-                        w.u32(id);
-                    }
-                }
-            }
+            // The beacon's encoding was digested once, when it was built.
+            ThetaMsg::Position(b) => w.u64(b.digest),
             ThetaMsg::Neighborhood => w.u8(1),
             ThetaMsg::NbrAck => w.u8(2),
             ThetaMsg::Connection => w.u8(3),
@@ -322,11 +339,7 @@ impl ThetaNode {
         let mut ids = Vec::with_capacity(split + self.heard.iter().filter(mentioned).count());
         ids.extend(self.heard.iter().filter(awaiting).map(|h| h.id));
         ids.extend(self.heard.iter().filter(mentioned).map(|h| h.id));
-        let beacon = Beacon {
-            pos: self.pos,
-            ids: ids.into_boxed_slice(),
-            split: split as u32,
-        };
+        let beacon = Beacon::new(self.pos, ids.into_boxed_slice(), split as u32);
         ctx.broadcast(ThetaMsg::Position(Arc::new(beacon)));
         for h in &mut self.heard {
             h.owed = false;
@@ -838,16 +851,17 @@ mod tests {
 
     /// A beacon from `(x, y)` with the given awaiting and mentioned ids.
     fn beacon(x: f64, y: f64, awaiting: &[u32], mentioned: &[u32]) -> ThetaMsg {
-        ThetaMsg::Position(Arc::new(Beacon {
-            pos: Point::new(x, y),
-            ids: [awaiting, mentioned].concat().into_boxed_slice(),
-            split: awaiting.len() as u32,
-        }))
+        ThetaMsg::Position(Arc::new(Beacon::new(
+            Point::new(x, y),
+            [awaiting, mentioned].concat().into_boxed_slice(),
+            awaiting.len() as u32,
+        )))
     }
 
     /// Every variant and every field of a ΘALG message changes its digest
     /// encoding (coordinates by bit pattern, so even `-0.0 ≠ 0.0`; each
     /// beacon list, and which side of the split an id is on).
+    /// A beacon writes the digest of its encoding.
     #[test]
     fn digest_encoding_separates_variants_and_fields() {
         use crate::stats::message_digest;
@@ -875,6 +889,28 @@ mod tests {
         ];
         let digests: BTreeSet<u64> = msgs.iter().map(message_digest).collect();
         assert_eq!(digests.len(), msgs.len());
+
+        // A beacon digests its whole `Position` encoding once, when it is
+        // built: the variant byte, the coordinates, then each id list,
+        // length-prefixed. Each copy writes that one `u64`.
+        let mut w = DigestWriter::new();
+        w.u8(0);
+        w.f64(0.25);
+        w.f64(-0.5);
+        w.len_prefix(2);
+        w.u32(3);
+        w.u32(7);
+        w.len_prefix(1);
+        w.u32(9);
+        let encoding = w.finish();
+        let msg = beacon(0.25, -0.5, &[3, 7], &[9]);
+        let ThetaMsg::Position(b) = &msg else {
+            unreachable!()
+        };
+        assert_eq!(b.digest, encoding);
+        let mut w = DigestWriter::new();
+        w.u64(encoding);
+        assert_eq!(message_digest(&msg), w.finish());
     }
 
     /// The static harness at the thread count CI selects, so both of its

@@ -62,6 +62,8 @@ struct AdvPoint {
     defended: bool,
     compromised: usize,
     detected: usize,
+    /// Quarantined nodes that were never compromised.
+    false_quarantined: usize,
     gossip: GossipRun,
     /// ΘALG re-convergence around the detected nodes (defense-on cells
     /// with at least one detection).
@@ -134,6 +136,7 @@ fn sweep(quick: bool) -> Vec<AdvPoint> {
                     .iter()
                     .filter(|q| compromised.contains(q))
                     .count();
+                let false_quarantined = gossip.quarantined_nodes.len() - detected;
                 // Excise the detected liars from the topology layer:
                 // each becomes a crash the ΘALG churn engine must
                 // re-converge around, exactly like E21's failures.
@@ -171,6 +174,7 @@ fn sweep(quick: bool) -> Vec<AdvPoint> {
                     defended,
                     compromised: compromised.len(),
                     detected,
+                    false_quarantined,
                     gossip,
                     reconvergences,
                 });
@@ -196,6 +200,7 @@ pub fn run(quick: bool) -> Table {
             "overflow",
             "quarantines",
             "detected",
+            "false q",
             "θ reconv",
             "conserved",
         ],
@@ -211,6 +216,7 @@ pub fn run(quick: bool) -> Table {
             p.gossip.overflow_dropped.to_string(),
             p.gossip.quarantines.to_string(),
             format!("{}/{}", p.detected, p.compromised),
+            p.false_quarantined.to_string(),
             p.reconvergences
                 .map_or_else(|| "-".to_string(), |r| r.to_string()),
             p.gossip.conserved().to_string(),
@@ -324,9 +330,15 @@ mod tests {
                 p.fraction,
                 p.gossip
             );
+            // Honest safety: the defense never quarantines an honest
+            // node, whatever share of its neighbors lie.
+            assert_eq!(
+                p.false_quarantined, 0,
+                "{}/{}: honest nodes quarantined",
+                p.attack, p.fraction
+            );
             if p.fraction == 0.0 {
-                // Honest-safety: the defense never convicts an honest
-                // network.
+                // An honest network convicts no one and loses nothing.
                 assert_eq!(p.gossip.quarantines, 0, "{}: false positives", p.attack);
                 assert_eq!(p.gossip.stolen + p.gossip.blackholed, 0);
             }
