@@ -2,7 +2,7 @@
 //! event order.
 //!
 //! Events are ordered by `(time, key)` where [`EventKey`] is derived
-//! entirely from *who* the event belongs to and per-link / per-node
+//! entirely from *who* the event belongs to and per-node event
 //! counters — never from global insertion order. Two runs that schedule
 //! the same events therefore pop them in the same order **regardless of
 //! how the queue is physically laid out**: one global queue, or one queue
@@ -24,10 +24,12 @@ use std::collections::BinaryHeap;
 ///   fire before its same-tick mailbox is drained.
 /// * `src` — the sending node for deliveries (0 for timers): same-tick
 ///   arrivals are drained in sender order.
-/// * `seq` — a per-directed-link copy counter for deliveries (fault-layer
-///   duplicates get consecutive values) and a per-node arm counter for
-///   timers. Both counters advance in the owner's deterministic local
-///   order, so the key never depends on global scheduling history.
+/// * `seq` — the event number the sender (deliveries) or the arming node
+///   (timers) drew from its one per-node counter: a timer takes one
+///   number, a transmission two, one for each copy it may produce, so a
+///   fault-layer duplicate gets the number after its original's. The
+///   counter advances in the node's deterministic local order, so the
+///   key never depends on global scheduling history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Owning node (delivery receiver / timer owner).
@@ -36,8 +38,8 @@ pub struct EventKey {
     pub class: u8,
     /// Sending node for deliveries, 0 for timers.
     pub src: u32,
-    /// Per-directed-link copy counter (deliveries) or per-node arm
-    /// counter (timers).
+    /// Event number from the sender's (deliveries) or the arming node's
+    /// (timers) per-node counter.
     pub seq: u64,
 }
 
@@ -47,7 +49,7 @@ pub const CLASS_TIMER: u8 = 0;
 pub const CLASS_DELIVER: u8 = 1;
 
 impl EventKey {
-    /// Key for a timer armed by `node` as its `seq`-th arm.
+    /// Key for a timer armed by `node` under its event number `seq`.
     pub fn timer(node: u32, seq: u64) -> Self {
         EventKey {
             node,
@@ -57,7 +59,8 @@ impl EventKey {
         }
     }
 
-    /// Key for the `seq`-th copy sent on the directed link `from → to`.
+    /// Key for a copy sent on the link `from → to` under `from`'s event
+    /// number `seq`.
     pub fn deliver(from: u32, to: u32, seq: u64) -> Self {
         EventKey {
             node: to,
