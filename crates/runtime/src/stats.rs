@@ -181,8 +181,8 @@ impl KindTable {
     }
 }
 
-/// A replay transcript: a rolling FNV-1a digest over every event the
-/// runtime processes (deliveries, drops, timer firings), plus optionally
+/// A replay transcript: a rolling word-wise FNV-1a digest (see
+/// [`DigestWriter`]) over every event the runtime processes (deliveries, drops, timer firings), plus optionally
 /// the full event log. Two runs are *replay-identical* iff their digests
 /// match; [`crate::Runtime::record_trace`] additionally keeps the
 /// human-readable entries so tests can diff them.
@@ -212,19 +212,22 @@ impl Default for Transcript {
     }
 }
 
-/// Streams a binary encoding into a rolling FNV-1a state. Transcript
-/// records, and the messages inside them
-/// ([`Message::digest_into`]), are written
-/// through it as fixed-width little-endian integers, `f64` bit patterns
-/// and length-prefixed sequences, so digesting an event costs no
-/// formatting and no allocation.
+/// Streams a binary encoding into a rolling FNV-1a-style state folded one
+/// `u64` word per field: each field (an integer widened to 64 bits, an
+/// `f64` bit pattern, a sequence length) is xored into the state, which
+/// is then multiplied by the FNV prime. Transcript records, and the
+/// messages inside them ([`Message::digest_into`]), are written through
+/// it, so digesting an event costs one multiply per field, no formatting
+/// and no allocation. Every record and message opens with a tag and
+/// prefixes its sequences with their lengths, so fields of different
+/// widths need no width marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DigestWriter {
     state: u64,
 }
 
 impl DigestWriter {
-    /// A writer at the FNV-1a offset basis.
+    /// A writer at the FNV offset basis.
     pub(crate) fn new() -> Self {
         DigestWriter { state: FNV_OFFSET }
     }
@@ -234,28 +237,24 @@ impl DigestWriter {
         self.state
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        let mut d = self.state;
-        for &b in bytes {
-            d ^= b as u64;
-            d = d.wrapping_mul(FNV_PRIME);
-        }
-        self.state = d;
+    /// Fold one field, widened to a word: one xor and one multiply.
+    fn word(&mut self, x: u64) {
+        self.state = (self.state ^ x).wrapping_mul(FNV_PRIME);
     }
 
     /// Write one byte (a variant tag, a flag).
     pub fn u8(&mut self, x: u8) {
-        self.bytes(&[x]);
+        self.word(u64::from(x));
     }
 
     /// Write a `u32`.
     pub fn u32(&mut self, x: u32) {
-        self.bytes(&x.to_le_bytes());
+        self.word(u64::from(x));
     }
 
     /// Write a `u64`.
     pub fn u64(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
+        self.word(x);
     }
 
     /// Write an `f64` by its bit pattern.
