@@ -8,10 +8,11 @@
 //! with a mailbox and timers — and every link-level transmission passes
 //! through a configurable [`FaultConfig`].
 //!
-//! Determinism is the design invariant: every directed link draws its
-//! fault decisions from its own seeded RNG stream, events are ordered by
-//! the canonical `(time, EventKey)` key, and a rolling [`Transcript`]
-//! digest witnesses replay equality — the same seed reproduces the same
+//! Determinism is the design invariant: each node numbers its own events
+//! with one counter, a transmission's fault decisions are drawn from a
+//! stream keyed by the run seed, its sender and its event number, events
+//! are ordered by the canonical `(time, EventKey)` key, and a rolling
+//! [`Transcript`] digest witnesses replay equality — the same seed reproduces the same
 //! run bit for bit, whether [`Runtime::run`] drives its one event loop
 //! inline or sharded over worker threads, asserted by tests.
 //!

@@ -54,9 +54,10 @@
 //! perturbation to the last admitted-set change — against the direct
 //! offline construction on the final live positions (experiment E21).
 
+use crate::fault::splitmix64;
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
-use crate::runtime::{splitmix64, Runtime};
+use crate::runtime::Runtime;
 use crate::stats::{DigestWriter, NetStats};
 use crate::{ChurnPlan, MemberState};
 use adhoc_geom::{Point, SectorPartition};
