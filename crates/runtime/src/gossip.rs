@@ -963,7 +963,11 @@ where
 /// network.
 ///
 /// With [`GossipConfig::with_reliability`], `Packet` traffic rides the
-/// per-link reliable sublayer while heights gossip stays best-effort.
+/// per-link reliable sublayer while heights gossip stays best-effort. The
+/// sublayer runs on the nodes' step ticks: an ack owed to a neighbor
+/// rides the height frame the next step sends it, and flight deadlines,
+/// which fall on steps, are checked there, so the transport arms a
+/// retransmit timer of its own mostly after a node's last step.
 ///
 /// Under a [`ChurnPlan`] nodes join, crash, gracefully leave, or drift
 /// mid-run, and every node's routing edge set follows the live radio
