@@ -37,10 +37,11 @@ pub struct NetStats {
     /// by the harnesses that run it (`run_gossip_balancing_adversarial`
     /// with reliability enabled); zero for best-effort-only runs.
     pub retransmits: u64,
-    /// Standalone cumulative acks sent by the reliable sublayer
-    /// (piggybacked acks ride data messages and are not counted here).
+    /// Standalone cumulative acks sent by the reliable sublayer (acks
+    /// riding data or a best-effort message are not counted here).
     pub acks: u64,
-    /// Retransmit-timer firings in the reliable sublayer.
+    /// Firings of the reliable sublayer's own retransmit timer (deadlines
+    /// checked on the wrapped actor's timers are not counted).
     pub rto_fired: u64,
     /// Unicasts to an in-plane node outside the sender's radio range.
     /// The paper's `G*` locality discipline means such a send can never
