@@ -43,9 +43,9 @@
 //! Faults can also *lie*: [`adversary`] compromises a seeded subset of
 //! nodes with a schedulable [`AdversaryPlan`] — height deflation and
 //! inflation, stale-frame replay, selective packet drop, equivocation —
-//! applied by an interposer that is each gossip node's radio layer (and
-//! the one place that refuses duplicate packet copies),
-//! while the node itself keeps running the honest code. The gossip
+//! applied by each gossip node's radio (also the one place that refuses
+//! duplicate packet copies), while the node itself keeps running the
+//! honest code. The gossip
 //! balancer's defense layer
 //! ([`GossipConfig::with_defense`](gossip::GossipConfig::with_defense))
 //! answers with local plausibility checks, starvation probes, and

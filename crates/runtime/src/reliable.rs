@@ -49,7 +49,7 @@
 //! height gossip) are freshness-driven: a retransmitted stale value is
 //! worth less than the next periodic refresh. The wrapper is the outer
 //! layer, so the acks a message carries are always the node's own, even
-//! on a frame an adversary layer inside it forged.
+//! on a frame the gossip node's radio forged.
 
 use crate::node::{Actor, Ctx, Message};
 use crate::stats::DigestWriter;
@@ -603,23 +603,19 @@ impl<M: Message> Transport<M> {
 /// an ack is owed to its peer. The wrapper owns timer id
 /// [`RELIABLE_TIMER`]; all other timers pass through untouched, and their
 /// firings are the transport's ticks.
-pub struct ReliableActor<A: Actor, F> {
+pub struct ReliableActor<A: Actor> {
     inner: A,
     transport: Transport<A::Msg>,
-    select: F,
+    select: fn(&A::Msg) -> bool,
     /// Effect buffer of the inner actor, drained (and released) after
     /// every callback.
     ic: Ctx<A::Msg>,
 }
 
-impl<A, F> ReliableActor<A, F>
-where
-    A: Actor,
-    F: Fn(&A::Msg) -> bool,
-{
+impl<A: Actor> ReliableActor<A> {
     /// Wrap `inner`; `select` returns true for messages that must be
     /// delivered reliably.
-    pub fn new(inner: A, cfg: ReliableConfig, select: F) -> Self {
+    pub fn new(inner: A, cfg: ReliableConfig, select: fn(&A::Msg) -> bool) -> Self {
         ReliableActor {
             inner,
             transport: Transport::new(cfg),
@@ -679,7 +675,7 @@ where
     }
 }
 
-impl<A, F> fmt::Debug for ReliableActor<A, F>
+impl<A> fmt::Debug for ReliableActor<A>
 where
     A: Actor + fmt::Debug,
     A::Msg: fmt::Debug,
@@ -692,11 +688,7 @@ where
     }
 }
 
-impl<A, F> Actor for ReliableActor<A, F>
-where
-    A: Actor,
-    F: Fn(&A::Msg) -> bool,
-{
+impl<A: Actor> Actor for ReliableActor<A> {
     type Msg = ReliableMsg<A::Msg>;
 
     fn on_start(&mut self, ctx: &mut Ctx<Self::Msg>) {
@@ -839,7 +831,7 @@ mod tests {
         }
     }
 
-    type Wrapped = ReliableActor<Pump, fn(&Num) -> bool>;
+    type Wrapped = ReliableActor<Pump>;
 
     fn always(_: &Num) -> bool {
         true
@@ -862,7 +854,7 @@ mod tests {
                         got: Vec::new(),
                     },
                     cfg,
-                    always as fn(&Num) -> bool,
+                    always,
                 )
             })
             .collect();
@@ -1238,7 +1230,7 @@ mod tests {
     /// when it left (an envelope carrying an ack went to that peer).
     #[derive(Debug)]
     struct Watch {
-        node: ReliableActor<Beat, fn(&Num) -> bool>,
+        node: ReliableActor<Beat>,
         rto: u64,
         /// Fire times of the node's pending ticks.
         ticks: Vec<u64>,
@@ -1331,7 +1323,7 @@ mod tests {
                         got: Vec::new(),
                     },
                     cfg,
-                    not_beat as fn(&Num) -> bool,
+                    not_beat,
                 ),
                 rto: cfg.rto,
                 ticks: Vec::new(),
@@ -1454,11 +1446,7 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Ctx<Num>, _: u32, _: Num) {}
         }
-        let nodes = vec![ReliableActor::new(
-            Bad,
-            ReliableConfig::default(),
-            always as fn(&Num) -> bool,
-        )];
+        let nodes = vec![ReliableActor::new(Bad, ReliableConfig::default(), always)];
         let mut rt = Runtime::new(
             nodes,
             &[Point::new(0.0, 0.0)],

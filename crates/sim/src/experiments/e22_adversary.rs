@@ -236,8 +236,8 @@ pub fn run(quick: bool) -> Table {
 ///   plan of a crash, a graceful leave and a drift (`…-rel-churn` rows).
 ///
 /// The CI thread matrix reruns these at 1 and 4 worker threads against
-/// the same fixture, so the digests also pin the interposer's executor
-/// equivalence.
+/// the same fixture, so the digests also pin that adversarial runs are
+/// identical at every thread count.
 pub fn golden_digests() -> Vec<(String, u64)> {
     let n = 40;
     let mut rng = ChaCha8Rng::seed_from_u64(20_000);

@@ -145,7 +145,7 @@ fn digesting_does_not_allocate_per_event() {
 
     let wrapped = players()
         .into_iter()
-        .map(|p| ReliableActor::new(p, ReliableConfig::default(), never as fn(&Token) -> bool))
+        .map(|p| ReliableActor::new(p, ReliableConfig::default(), never))
         .collect();
     let rt = run_within_budget(wrapped, "the reliable wrapper");
     // Every hop went out best-effort: the transport carried nothing.
