@@ -14,11 +14,12 @@
 //!   which nodes turn Byzantine, when, and with which composable
 //!   [`Attack`] behaviors;
 //! * every gossip node holds a radio (`Wire`) that applies the node's
-//!   active attacks at its two *wire points* — each outgoing `Heights`
-//!   frame copy is forged as it leaves, targeted incoming `Packet`s are
-//!   consumed as they arrive — while the node's protocol code stays
-//!   honest (a compromised node still executes the honest protocol; the
-//!   adversary owns its radio, not its code);
+//!   active attacks at its two *wire points* — each outgoing height
+//!   frame copy, alone or riding a packet, is forged as it leaves, and
+//!   targeted incoming `Packet`s are consumed as they arrive, after the
+//!   node took in any frame riding them — while the node's protocol
+//!   code stays honest (a compromised node still executes the honest
+//!   protocol; the adversary owns its radio, not its code);
 //! * consumed packets are booked as
 //!   [`GossipRun::stolen`](crate::GossipRun::stolen) /
 //!   [`GossipRun::blackholed`](crate::GossipRun::blackholed) so the
@@ -90,7 +91,7 @@ pub enum Attack {
 }
 
 impl Attack {
-    /// Forge the heights of one outgoing `Heights` frame toward `to`;
+    /// Forge the heights of one outgoing height frame copy toward `to`;
     /// the frame keeps its own step stamp and attestation. A forged copy is
     /// this copy's own ([`HeightFrame::forge`]): the frame the other
     /// copies and the node itself share is never written. `frozen` is
@@ -450,7 +451,14 @@ mod tests {
             capacity: 50,
         };
         let cfg = GossipConfig::new(balancing, 2000);
-        let nodes = build_nodes(&topo, &[4], cfg, &wl, &AdversaryPlan::new());
+        let nodes = build_nodes(
+            &topo,
+            &[4],
+            cfg,
+            &wl,
+            &ChurnPlan::new(),
+            &AdversaryPlan::new(),
+        );
         let mut rt = Runtime::new(
             nodes,
             &topo.points,

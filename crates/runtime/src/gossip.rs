@@ -7,13 +7,18 @@
 //! their neighbors last *gossiped*. This module makes that explicit:
 //!
 //! * a node sends each topology neighbor the same [`HeightFrame`] at a
-//!   routing step when it has something new: its heights changed since
-//!   its last frame, `refresh_every` steps passed since that frame (the
-//!   longest silence, so a lost frame is repaired within it), or, with
-//!   the defense on, an attestation is due, which then rides the frame.
-//!   The frame is the protocol's one control message, a real message
-//!   that can be lost or delayed; the paper's §3.2 remark is why sparse
-//!   frames are safe — `(T, γ)`-balancing tolerates stale heights;
+//!   routing step when its heights changed since its last frame, or when
+//!   the silence since that frame reached its limit. The limit starts at
+//!   `refresh_every / 4` steps after a frame with new heights and doubles
+//!   with each unchanged repeat up to `refresh_every` (the longest
+//!   silence), so a lost change frame is repaired quickly and stable
+//!   heights cost little. The frame is the protocol's one control
+//!   message, a real message that can be lost or delayed; the paper's
+//!   §3.2 remark is why sparse frames are safe — `(T, γ)`-balancing
+//!   tolerates stale heights;
+//! * a frame copy bound for a neighbor the same step sends a packet rides
+//!   that packet instead of going alone, and with the defense on every
+//!   frame carries the attestations due;
 //! * send decisions use the freshest cached neighbor heights;
 //! * data packets are `Packet` messages over the same faulty links —
 //!   sequence-numbered so the node's radio (its `wire` field, from
@@ -33,7 +38,7 @@ use crate::node::{Actor, Ctx, Message};
 use crate::reliable::{LinkCounters, ReliableActor, ReliableConfig};
 use crate::runtime::Runtime;
 use crate::stats::{DigestWriter, NetStats};
-use crate::{ChurnPlan, MemberState};
+use crate::{ChurnKind, ChurnPlan, MemberState};
 use adhoc_geom::Point;
 use adhoc_proximity::SpatialGraph;
 use adhoc_routing::BalancingConfig;
@@ -49,20 +54,21 @@ const TIMER_STEP: u32 = 1;
 /// buffer heights, one per destination (indexed like the shared
 /// destination list), stamped with the sender's routing step so reordered
 /// deliveries can't roll a cache back to staler values, plus the
-/// defense's attestation when one is due. A node sends every neighbor the
-/// same frame at the same step, and all copies share one allocation
-/// ([`GossipMsg::Heights`]) and one encoding digest, taken when the frame
-/// is built.
+/// defense's attestations. A node sends every neighbor the same frame at
+/// the same step, alone ([`GossipMsg::Heights`]) or riding that step's
+/// packet to it ([`GossipMsg::Packet`]), and all copies share one
+/// allocation and one encoding digest, taken when the frame is built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeightFrame {
     /// The sender's routing step when the frame was emitted.
     step: u64,
     /// The sender's buffer heights at that step.
     heights: Box<[u32]>,
-    /// Defense-layer attestation (empty unless one was due, see
-    /// [`DefenseConfig`]): the sender's sworn record of the height frames
-    /// it last observed, one `(peer, peer's frame step, digest of the
-    /// heights)` triple per heard neighbor. The digest stands in for a
+    /// Defense-layer attestation (empty with the defense off, see
+    /// [`DefenseConfig`]): the sender's sworn record of the latest height
+    /// frame it observed from each neighbor since its previous frame, one
+    /// `(peer, peer's frame step, digest of the heights)` triple per such
+    /// neighbor. The digest stands in for a
     /// signature over the frame: a receiver that observed a *different*
     /// frame from `peer` for the same step has caught `peer`
     /// equivocating — honest nodes send one frame per step to everyone,
@@ -121,7 +127,8 @@ impl HeightFrame {
 /// Messages of the distributed balancing protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GossipMsg {
-    /// A height frame, shared by every copy a node sends in one step.
+    /// A height frame, shared by every copy a node sends in one step, to
+    /// a neighbor the step sends no packet.
     Heights(Arc<HeightFrame>),
     /// One data packet bound for `dest`; `seq` is unique per sender so
     /// receivers can discard duplicated deliveries.
@@ -130,6 +137,10 @@ pub enum GossipMsg {
         dest: u32,
         /// Sender-local sequence number.
         seq: u32,
+        /// The step's height frame copy for this neighbor, if the step
+        /// sends one: it rides the packet instead of going alone, and the
+        /// receiver takes it in even when it refuses the packet itself.
+        frame: Option<Arc<HeightFrame>>,
     },
 }
 
@@ -148,10 +159,14 @@ impl Message for GossipMsg {
                 w.u8(0);
                 w.u64(frame.digest);
             }
-            GossipMsg::Packet { dest, seq } => {
+            GossipMsg::Packet { dest, seq, frame } => {
                 w.u8(1);
                 w.u32(*dest);
                 w.u32(*seq);
+                w.u8(u8::from(frame.is_some()));
+                if let Some(frame) = frame {
+                    w.u64(frame.digest);
+                }
             }
         }
     }
@@ -161,6 +176,57 @@ impl Message for GossipMsg {
 /// just deep enough to match neighbors' sworn records, which trail our
 /// own first-hand observations by a gossip frame or two.
 const OBSERVED_WINDOW: usize = 4;
+
+/// The height frames a node observed from one peer, for attestation.
+/// Kept inline (no heap): a node reads it for every claim a received
+/// frame makes about a peer the node heard.
+#[derive(Debug, Clone, Copy, Default)]
+struct Observed {
+    /// `(step, digest)` of the peer's last [`OBSERVED_WINDOW`] frames, a
+    /// ring: the first `len` slots are filled, and a new frame replaces
+    /// the one that arrived earliest, at `next`.
+    frames: [(u64, u64); OBSERVED_WINDOW],
+    len: usize,
+    next: usize,
+    /// Whether one of this node's frames has already sworn to the latest
+    /// of them (the one with the highest step).
+    attested: bool,
+    /// How many steps this node had run when a frame of the peer last
+    /// arrived. Nodes step at the same rate and a frame arrives after the
+    /// step that sent it, so at this node's step `t` the peer has been
+    /// silent for about `t + 1 - heard` steps.
+    heard: u64,
+}
+
+impl Observed {
+    /// The digest of the peer's observed frame of `step`, if recorded.
+    fn digest(&self, step: u64) -> Option<u64> {
+        let frames = &self.frames[..self.len];
+        frames.iter().find(|&&(s, _)| s == step).map(|&(_, d)| d)
+    }
+
+    /// The peer's latest observed frame, `(step, digest)`.
+    fn latest(&self) -> Option<(u64, u64)> {
+        let frames = &self.frames[..self.len];
+        frames.iter().copied().max_by_key(|&(step, _)| step)
+    }
+
+    /// Record the peer's frame of `step` (once per step), which arrived at
+    /// this node's step `now`; a frame newer than every recorded one is
+    /// due for attestation.
+    fn record(&mut self, now: u64, step: u64, heights: &[u32]) {
+        self.heard = now;
+        if self.digest(step).is_some() {
+            return;
+        }
+        if self.latest().is_none_or(|(latest, _)| step > latest) {
+            self.attested = false;
+        }
+        self.frames[self.next] = (step, heights_digest(heights));
+        self.next = (self.next + 1) % OBSERVED_WINDOW;
+        self.len = (self.len + 1).min(OBSERVED_WINDOW);
+    }
+}
 
 /// The digest of a heights vector, folded one height per word as the
 /// replay digest folds fields ([`DigestWriter`]) — the attestation
@@ -175,10 +241,11 @@ fn heights_digest(heights: &[u32]) -> u64 {
 }
 
 /// Reliability predicate for the balancing protocol: data packets ride
-/// the reliable sublayer, height frames stay best-effort — a stale
+/// the reliable sublayer, lone height frames stay best-effort — a stale
 /// frame retransmitted late is worth less than the next one, due within
 /// `refresh_every` steps, and §3.2's guarantee only needs the *packets*
-/// to survive.
+/// to survive. A frame riding a packet is retransmitted with it, and a
+/// receiver that already holds a newer one refuses it as stale.
 fn needs_reliability(msg: &GossipMsg) -> bool {
     matches!(msg, GossipMsg::Packet { .. })
 }
@@ -192,9 +259,11 @@ pub struct GossipConfig {
     /// Longest silence: the most routing steps a node lets pass after a
     /// height frame before it sends another with unchanged heights. A
     /// node sends a frame at a step when its heights changed since its
-    /// last frame, when this many steps have passed since it, or when an
-    /// attestation is due; 1 = a frame every step (the
-    /// `StaleBalancingRouter` refresh-period knob as real traffic).
+    /// last frame, or when the silence since it reached its current
+    /// limit: `max(1, refresh_every / 4)` steps after a frame with new
+    /// heights, doubling with each unchanged repeat up to this bound. 1 =
+    /// a frame every step (the `StaleBalancingRouter` refresh-period knob
+    /// as real traffic).
     pub refresh_every: u64,
     /// Number of routing steps to simulate.
     pub steps: u64,
@@ -217,7 +286,7 @@ pub struct GossipConfig {
 /// [`GossipConfig::with_defense`] is set. Three detectors feed one
 /// per-peer `suspicion` score:
 ///
-/// 1. **Plausibility** — an accepted `Heights` frame is implausible if
+/// 1. **Plausibility** — an accepted height frame is implausible if
 ///    any entry exceeds the buffer capacity (honest heights cannot), or
 ///    if it differs from the previously cached frame by more than
 ///    [`DefenseConfig::max_height_rate`] per elapsed gossip step (a
@@ -229,17 +298,21 @@ pub struct GossipConfig {
 ///    attractor: an honest relay's gossip runs before its sends, so fed
 ///    packets are visible in its next frame, and only a traffic sink
 ///    (a node in the destination list, which absorbs) legitimately
-///    stays at zero. Every [`DefenseConfig::probe_packets`] fed packets
-///    answered by an all-zero frame raise suspicion by 1.
-/// 3. **Attestation** — every [`DefenseConfig::attest_every`] steps each
-///    node sends a height frame, and that frame swears to its neighbors
-///    which `(peer, step, heights digest)` it last observed — observed,
-///    not trusted, so a lie refused by plausibility still testifies
-///    ([`GossipMsg::Heights`]). A receiver holding a different
-///    digest for the same `(peer, step)` has proof of equivocation and
-///    raises suspicion straight to the quarantine threshold. Attestation
-///    relies on every neighbor getting the same frame at the same step,
-///    so frames are never filtered per neighbor.
+///    stays at zero. Every [`DefenseConfig::probe_packets`] packets fed
+///    since the peer's last non-zero frame raise suspicion by 1 at a
+///    step where its latest frame is all zero and younger than the
+///    longest silence: a frame goes out on every change, so its silence
+///    says its heights still stand.
+/// 3. **Attestation** — rides every height frame: the frame swears to
+///    the node's neighbors which `(peer, step, heights digest)` it last
+///    observed from each peer whose latest frame no earlier frame of the
+///    node swore to — observed, not trusted, so a lie refused by
+///    plausibility still testifies ([`HeightFrame`]). No frame is sent
+///    only to attest. A receiver holding a different digest for the same
+///    `(peer, step)` has proof of equivocation and raises suspicion
+///    straight to the quarantine threshold. Attestation relies on every
+///    neighbor getting the same frame at the same step, alone or riding
+///    a packet, so frames are never filtered per neighbor.
 ///
 /// At [`DefenseConfig::quarantine_at`] the peer is quarantined: its
 /// routing edge and cached heights are pruned exactly as churn erodes a
@@ -255,20 +328,17 @@ pub struct DefenseConfig {
     pub probe_packets: u64,
     /// Suspicion score at which a peer is quarantined.
     pub quarantine_at: u32,
-    /// Routing steps between attestation rounds.
-    pub attest_every: u64,
 }
 
 impl Default for DefenseConfig {
     /// Defaults sized for the E22 geometry: a generous height-rate bound
     /// (node degree bounds the true fill rate), an 8-packet starvation
-    /// probe, quarantine at 3 strikes, attestation every 4 steps.
+    /// probe, quarantine at 3 strikes.
     fn default() -> Self {
         DefenseConfig {
             max_height_rate: 12,
             probe_packets: 8,
             quarantine_at: 3,
-            attest_every: 4,
         }
     }
 }
@@ -278,18 +348,17 @@ impl DefenseConfig {
         assert!(self.max_height_rate >= 1, "max_height_rate must be ≥ 1");
         assert!(self.probe_packets >= 1, "probe_packets must be ≥ 1");
         assert!(self.quarantine_at >= 1, "quarantine_at must be ≥ 1");
-        assert!(self.attest_every >= 1, "attest_every must be ≥ 1");
     }
 }
 
 impl GossipConfig {
-    /// Sensible defaults: a height frame on every change and at least
-    /// every 2 steps, 8-tick steps, fire-and-forget links, no defense
-    /// layer.
+    /// Sensible defaults: a height frame on every change, repeated after
+    /// silences of 2, 4, then at most 8 steps while the heights hold,
+    /// 8-tick steps, fire-and-forget links, no defense layer.
     pub fn new(balancing: BalancingConfig, steps: u64) -> Self {
         GossipConfig {
             balancing,
-            refresh_every: 2,
+            refresh_every: 8,
             steps,
             step_len: 8,
             reliability: None,
@@ -330,8 +399,13 @@ pub(crate) struct GossipNode {
     /// The node's radio ([`Wire`]): every frame copy leaves through it and
     /// every packet arrives through it.
     pub(crate) wire: Wire,
-    /// `(neighbor, edge cost)` pairs from the topology.
+    /// `(neighbor, edge cost)` pairs: the topology edges to nodes in this
+    /// node's radio row.
     pub(crate) nbrs: Vec<(u32, f64)>,
+    /// Topology edges to nodes that had not joined when this node was
+    /// built (all of its edges, if it had not joined itself): each moves
+    /// to `nbrs` when its peer first shows up in this node's radio row.
+    unmet: Vec<(u32, f64)>,
     dests: Vec<u32>,
     /// Own buffer heights, one per destination.
     heights: Vec<u32>,
@@ -341,8 +415,12 @@ pub(crate) struct GossipNode {
     cached: BTreeMap<u32, (u64, Vec<u32>)>,
     /// The last height frame this node sent (honest, as the node built
     /// it): the next frame is due when the heights differ from it or it
-    /// is `refresh_every` steps old.
+    /// is `silence` steps old.
     last_frame: Option<Arc<HeightFrame>>,
+    /// Steps the node stays silent after `last_frame` while its heights
+    /// hold: `max(1, refresh_every / 4)` after a frame with new heights,
+    /// doubled by each unchanged repeat up to `refresh_every`.
+    silence: u64,
     /// Injections scheduled for this node: `(step, dest)`, sorted by step.
     schedule: Vec<(u64, u32)>,
     next_inj: usize,
@@ -353,14 +431,22 @@ pub(crate) struct GossipNode {
     suspicion: BTreeMap<u32, u32>,
     /// Defense: packets fed to a peer since its last non-zero frame.
     fed: BTreeMap<u32, u64>,
-    /// Defense: recent *observed* frames per peer, `(step, digest)`,
-    /// newest-last and capped at [`OBSERVED_WINDOW`]. Kept separately
-    /// from `cached` because attestation must cover frames plausibility
-    /// refused to trust (an equivocator whose lie to *us* was
-    /// implausible is convicted by what it told the neighbors it was
-    /// attracting), and kept as a short history because a neighbor's
-    /// sworn record lags our own observations by a frame.
-    observed: BTreeMap<u32, Vec<(u64, u64)>>,
+    /// Defense: some `fed` count may have reached `probe_packets`; the
+    /// starvation probe looks at the counts only then.
+    probe_due: bool,
+    /// Defense: recent *observed* frames per peer, and whether this
+    /// node has sworn to the latest. Kept separately from `cached`
+    /// because attestation must cover frames plausibility refused to
+    /// trust (an equivocator whose lie to *us* was implausible is
+    /// convicted by what it told the neighbors it was attracting), and
+    /// kept as a short history because a neighbor's sworn record lags
+    /// our own observations by a frame.
+    observed: BTreeMap<u32, Observed>,
+    /// Defense: bit `peer % 64` is set for every peer in `observed`, and
+    /// never cleared, so a set bit only says "maybe". Most claims a frame
+    /// attests are about peers this node never heard, and the bit skips
+    /// those without a map lookup.
+    observed_peers: u64,
     /// Defense: quarantined peers — routing edge and gossip severed.
     quarantined: BTreeSet<u32>,
     /// Whether the per-step tick is currently armed. Joiners receive no
@@ -386,7 +472,8 @@ pub(crate) struct NodeCounts {
     pub packets_sent: u64,
     /// Distinct packets accepted from neighbors (duplicates excluded).
     pub packets_received: u64,
-    /// Height frames sent (one per neighbor copy).
+    /// Height frames sent (one per neighbor copy, alone or riding a
+    /// packet).
     pub gossips_sent: u64,
     /// Reordered (out-of-date) height gossips discarded on receipt.
     pub stale_gossip_dropped: u64,
@@ -450,33 +537,29 @@ impl GossipNode {
         best.map(|(_, c)| c)
     }
 
-    /// Send every neighbor one shared height frame if one is due: the
-    /// heights changed since the last frame, that frame is
-    /// `refresh_every` steps old, or an attestation is due (which then
-    /// rides the frame).
-    fn send_frame(&mut self, ctx: &mut Ctx<GossipMsg>) {
-        let attest_due = self
-            .cfg
-            .defense
-            .is_some_and(|def| self.step.is_multiple_of(def.attest_every));
-        let due = self.last_frame.as_ref().is_none_or(|last| {
-            *last.heights != *self.heights || self.step - last.step >= self.cfg.refresh_every
-        });
-        if !due && !attest_due {
-            return;
+    /// The height frame this step sends every neighbor, if one is due:
+    /// the heights changed since the last frame, or the silence since it
+    /// reached `silence`. With the defense on it swears to the latest
+    /// observed frame of every peer that no earlier frame swore to.
+    fn next_frame(&mut self) -> Option<Arc<HeightFrame>> {
+        match &self.last_frame {
+            Some(last) if *last.heights == *self.heights => {
+                if self.step - last.step < self.silence {
+                    return None;
+                }
+                self.silence = (2 * self.silence).min(self.cfg.refresh_every);
+            }
+            _ => self.silence = (self.cfg.refresh_every / 4).max(1),
         }
-        let attest: Box<[(u32, u64, u64)]> = if attest_due {
-            self.observed
-                .iter()
-                .filter_map(|(&peer, hist)| {
-                    hist.iter()
-                        .max_by_key(|&&(step, _)| step)
-                        .map(|&(step, digest)| (peer, step, digest))
-                })
-                .collect()
-        } else {
-            Box::default()
-        };
+        // Sized up front: the frame keeps the allocation as it is.
+        let due = self.observed.values().filter(|seen| !seen.attested);
+        let mut attest = Vec::with_capacity(due.count());
+        for (&peer, seen) in self.observed.iter_mut() {
+            if !std::mem::replace(&mut seen.attested, true) {
+                attest.extend(seen.latest().map(|(step, digest)| (peer, step, digest)));
+            }
+        }
+        let attest = attest.into_boxed_slice();
         let copies = self.nbrs.len() as u64;
         self.counts.gossips_sent += copies;
         if !attest.is_empty() {
@@ -487,44 +570,51 @@ impl GossipNode {
             self.heights.as_slice().into(),
             attest,
         ));
-        for &(w, _) in &self.nbrs {
-            let mut copy = Arc::clone(&frame);
-            self.wire.forge(ctx.now(), w, &mut copy);
-            ctx.send(w, GossipMsg::Heights(copy));
-        }
-        self.last_frame = Some(frame);
+        self.last_frame = Some(Arc::clone(&frame));
+        Some(frame)
     }
 
-    /// Executed once per routing step: inject scheduled packets, send a
-    /// height frame if one is due, then decide one send per outgoing
-    /// edge direction.
+    /// Executed once per routing step: inject scheduled packets, build a
+    /// height frame if one is due, then decide one send per outgoing edge
+    /// direction. Each neighbor gets one message: the step's packet to it
+    /// with the frame riding, or the frame alone.
     fn run_step(&mut self, ctx: &mut Ctx<GossipMsg>) {
         while self.next_inj < self.schedule.len() && self.schedule[self.next_inj].0 == self.step {
             let dest = self.schedule[self.next_inj].1;
             self.next_inj += 1;
             self.inject(dest);
         }
-        self.send_frame(ctx);
+        self.probe_starvation();
+        let frame = self.next_frame();
         for i in 0..self.nbrs.len() {
             let (w, cost) = self.nbrs[i];
-            if let Some(c) = self.best_send(w, cost) {
-                self.heights[c] -= 1;
-                self.counts.packets_sent += 1;
-                let seq = self.seq;
-                self.seq += 1;
-                // Starvation-probe bookkeeping: count what we feed each
-                // peer (sinks absorb legitimately, so they are exempt).
-                if self.cfg.defense.is_some() && !self.dests.contains(&w) {
-                    *self.fed.entry(w).or_default() += 1;
+            let frame = frame.as_ref().map(|frame| {
+                let mut copy = Arc::clone(frame);
+                self.wire.forge(ctx.now(), w, &mut copy);
+                copy
+            });
+            let msg = match self.best_send(w, cost) {
+                Some(c) => {
+                    self.heights[c] -= 1;
+                    self.counts.packets_sent += 1;
+                    let seq = self.seq;
+                    self.seq += 1;
+                    // Starvation-probe bookkeeping: count what we feed each
+                    // peer (sinks absorb legitimately, so they are exempt).
+                    if let Some(def) = self.cfg.defense.filter(|_| !self.dests.contains(&w)) {
+                        let fed = self.fed.entry(w).or_default();
+                        *fed += 1;
+                        self.probe_due |= *fed >= def.probe_packets;
+                    }
+                    let dest = self.dests[c];
+                    GossipMsg::Packet { dest, seq, frame }
                 }
-                ctx.send(
-                    w,
-                    GossipMsg::Packet {
-                        dest: self.dests[c],
-                        seq,
-                    },
-                );
-            }
+                None => match frame {
+                    Some(frame) => GossipMsg::Heights(frame),
+                    None => continue,
+                },
+            };
+            ctx.send(w, msg);
         }
         self.step += 1;
         if self.step < self.cfg.steps {
@@ -532,6 +622,47 @@ impl GossipNode {
         } else {
             self.ticking = false;
         }
+    }
+
+    /// Starvation probe, run at each step before the sends: a strike for
+    /// every peer we fed `probe_packets` packets since its last non-zero
+    /// frame while its latest frame, all zero, still stands. An honest
+    /// relay's frame runs before its sends, so packets fed to it show in
+    /// the frame of its next step, which a change always sends; its
+    /// silence therefore says its heights still stand, but only while
+    /// that silence is shorter than `refresh_every` steps. A peer silent
+    /// that long has stopped talking to us (it left, or it quarantined
+    /// us), which is no evidence. Packets fed to sinks, which absorb
+    /// legitimately, are not counted.
+    fn probe_starvation(&mut self) {
+        let Some(def) = self.cfg.defense else { return };
+        if !std::mem::take(&mut self.probe_due) {
+            return;
+        }
+        let (step, refresh) = (self.step, self.cfg.refresh_every);
+        let starved: Vec<u32> = self
+            .fed
+            .iter()
+            .filter(|&(w, &fed)| {
+                fed >= def.probe_packets
+                    && self
+                        .observed
+                        .get(w)
+                        .is_some_and(|seen| step + 1 - seen.heard < refresh)
+                    && self
+                        .cached
+                        .get(w)
+                        .is_some_and(|(_, heights)| heights.iter().all(|&h| h == 0))
+            })
+            .map(|(&w, _)| w)
+            .collect();
+        for w in starved {
+            self.fed.insert(w, 0);
+            self.suspect(w, 1);
+        }
+        // A count at the bound that no silence answers yet is looked at
+        // again next step.
+        self.probe_due = self.fed.values().any(|&fed| fed >= def.probe_packets);
     }
 
     /// Raise `peer`'s suspicion by `weight`; quarantine at the threshold.
@@ -588,17 +719,10 @@ impl GossipNode {
             self.suspect(from, 1);
             return false;
         }
-        // Starvation probe: an honest relay gossips *before* it sends,
-        // so packets we fed it show in its next frame — all-zero answers
-        // under sustained feeding are the deflation-attractor signature.
+        // A non-zero frame answers the packets fed so far (see
+        // `probe_starvation`).
         if heights.iter().any(|&h| h > 0) {
             self.fed.insert(from, 0);
-        } else if !self.dests.contains(&from) {
-            let fed = self.fed.get(&from).copied().unwrap_or(0);
-            if fed >= def.probe_packets {
-                self.fed.insert(from, 0);
-                self.suspect(from, 1);
-            }
         }
         true
     }
@@ -623,13 +747,12 @@ impl GossipNode {
         // attestation compares observations, so a frame refused as
         // implausible still convicts an equivocator.
         if self.cfg.defense.is_some() {
-            let hist = self.observed.entry(from).or_default();
-            if !hist.iter().any(|&(s, _)| s == step) {
-                hist.push((step, heights_digest(heights)));
-                if hist.len() > OBSERVED_WINDOW {
-                    hist.remove(0);
-                }
-            }
+            let now = self.step;
+            self.observed
+                .entry(from)
+                .or_default()
+                .record(now, step, heights);
+            self.observed_peers |= 1 << (from % 64);
         }
         if self.vet_heights(from, step, heights) && !self.quarantined.contains(&from) {
             let (cached_step, cached) = self.cached.entry(from).or_default();
@@ -649,22 +772,36 @@ impl GossipNode {
         if self.quarantined.contains(&from) {
             return;
         }
-        let mut caught: Vec<u32> = Vec::new();
-        for &(peer, step, digest) in attest {
-            if self.quarantined.contains(&peer) {
-                continue;
-            }
-            if let Some(hist) = self.observed.get(&peer) {
-                if let Some(&(_, my_digest)) = hist.iter().find(|&&(s, _)| s == step) {
-                    if my_digest != digest {
-                        caught.push(peer);
-                    }
-                }
-            }
-        }
+        // Quarantine drops a peer's record, so only peers still trusted
+        // are checked.
+        let caught: Vec<u32> = attest
+            .iter()
+            .filter(|&&(peer, step, digest)| {
+                self.observed_peers & 1 << (peer % 64) != 0
+                    && self
+                        .observed
+                        .get(&peer)
+                        .and_then(|seen| seen.digest(step))
+                        .is_some_and(|mine| mine != digest)
+            })
+            .map(|&(peer, _, _)| peer)
+            .collect();
         for peer in caught {
             self.counts.equivocations += 1;
             self.suspect(peer, def.quarantine_at);
+        }
+    }
+
+    /// Take in a height frame `from` sent, alone or riding a packet: its
+    /// heights, then its attestation. A quarantined peer's word is
+    /// worthless: ignore it.
+    fn take_frame(&mut self, from: u32, frame: &HeightFrame) {
+        if self.quarantined.contains(&from) {
+            return;
+        }
+        self.accept_heights(from, frame.step, &frame.heights);
+        if !frame.attest.is_empty() {
+            self.check_attestation(from, &frame.attest);
         }
     }
 }
@@ -681,17 +818,13 @@ impl Actor for GossipNode {
 
     fn on_message(&mut self, ctx: &mut Ctx<GossipMsg>, from: u32, msg: GossipMsg) {
         match msg {
-            GossipMsg::Heights(frame) => {
-                // A quarantined peer's word is worthless: ignore it.
-                if self.quarantined.contains(&from) {
-                    return;
+            GossipMsg::Heights(frame) => self.take_frame(from, &frame),
+            GossipMsg::Packet { dest, seq, frame } => {
+                // A riding frame counts even when the radio refuses the
+                // packet: its neighbor got the step's frame either way.
+                if let Some(frame) = frame {
+                    self.take_frame(from, &frame);
                 }
-                self.accept_heights(from, frame.step, &frame.heights);
-                if !frame.attest.is_empty() {
-                    self.check_attestation(from, &frame.attest);
-                }
-            }
-            GossipMsg::Packet { dest, seq } => {
                 if !self.wire.admit(ctx.now(), from, seq) {
                     return; // a duplicate copy, or eaten by an attack
                 }
@@ -717,10 +850,20 @@ impl Actor for GossipNode {
 
     fn on_neighborhood_change(&mut self, ctx: &mut Ctx<GossipMsg>, neighbors: &[u32], _pos: Point) {
         // Routing follows the live radio topology: edges to departed or
-        // out-of-range peers vanish (gossip churn never *adds* edges — the
-        // topology graph is the input contract, churn only erodes it).
+        // out-of-range peers vanish for good, and an edge to a node that
+        // had not joined opens when the node first shows up (churn never
+        // adds an edge the topology graph lacks, nor restores one it
+        // eroded).
         self.nbrs
             .retain(|(w, _)| neighbors.binary_search(w).is_ok());
+        let nbrs = &mut self.nbrs;
+        self.unmet.retain(|&edge| {
+            let met = neighbors.binary_search(&edge.0).is_ok();
+            if met {
+                nbrs.push(edge);
+            }
+            !met
+        });
         self.cached
             .retain(|w, _| neighbors.binary_search(w).is_ok());
         // A joiner got no on_start; bootstrap its step tick here. Nodes
@@ -842,12 +985,17 @@ pub fn uniform_workload(
 
 /// Build the node actors for one run (workload split per source,
 /// sorted by step), each with its radio: its attacks from `adversary`,
-/// and duplicate refusal iff its links are fire-and-forget.
+/// and duplicate refusal iff its links are fire-and-forget. A node's
+/// neighbors are its topology edges to the nodes in its radio row at the
+/// start: every node but those a `plan` join brings in later (topology
+/// edges lie within radio range). Edges to, and of, a joiner open when it
+/// joins.
 pub(crate) fn build_nodes(
     topology: &SpatialGraph,
     dests: &[u32],
     cfg: GossipConfig,
     workload: &[(u64, u32, u32)],
+    plan: &ChurnPlan,
     adversary: &AdversaryPlan,
 ) -> Vec<GossipNode> {
     let n = topology.len();
@@ -867,31 +1015,48 @@ pub(crate) fn build_nodes(
     for s in schedules.iter_mut() {
         s.sort_unstable_by_key(|&(step, _)| step);
     }
+    let joiners: BTreeSet<u32> = plan
+        .entries()
+        .iter()
+        .filter(|e| matches!(e.kind, ChurnKind::Join(_)))
+        .map(|e| e.node)
+        .collect();
     (0..n as u32)
-        .map(|id| GossipNode {
-            id,
-            wire: Wire::new(adversary.for_node(id), cfg.reliability.is_none()),
-            nbrs: topology
+        .map(|id| {
+            let edges = topology
                 .graph
                 .neighbors(id)
                 .iter()
-                .map(|a| (a.to, a.weight))
-                .collect(),
-            dests: dests.to_vec(),
-            heights: vec![0; dests.len()],
-            cached: BTreeMap::new(),
-            last_frame: None,
-            schedule: std::mem::take(&mut schedules[id as usize]),
-            next_inj: 0,
-            cfg,
-            step: 0,
-            seq: 0,
-            suspicion: BTreeMap::new(),
-            fed: BTreeMap::new(),
-            observed: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-            ticking: false,
-            counts: NodeCounts::default(),
+                .map(|a| (a.to, a.weight));
+            let (nbrs, unmet) = if joiners.contains(&id) {
+                (Vec::new(), edges.collect())
+            } else {
+                edges.partition(|(w, _)| !joiners.contains(w))
+            };
+            GossipNode {
+                id,
+                wire: Wire::new(adversary.for_node(id), cfg.reliability.is_none()),
+                nbrs,
+                unmet,
+                dests: dests.to_vec(),
+                heights: vec![0; dests.len()],
+                cached: BTreeMap::new(),
+                last_frame: None,
+                silence: 0,
+                schedule: std::mem::take(&mut schedules[id as usize]),
+                next_inj: 0,
+                cfg,
+                step: 0,
+                seq: 0,
+                suspicion: BTreeMap::new(),
+                fed: BTreeMap::new(),
+                probe_due: false,
+                observed: BTreeMap::new(),
+                observed_peers: 0,
+                quarantined: BTreeSet::new(),
+                ticking: false,
+                counts: NodeCounts::default(),
+            }
         })
         .collect()
 }
@@ -977,9 +1142,10 @@ where
 /// network.
 ///
 /// With [`GossipConfig::with_reliability`], `Packet` traffic rides the
-/// per-link reliable sublayer while heights gossip stays best-effort. The
-/// sublayer runs on the nodes' step ticks: an ack owed to a neighbor
-/// rides the height frame the next step sends it, and flight deadlines,
+/// per-link reliable sublayer while lone height frames stay best-effort
+/// (a frame riding a packet rides its `Data` envelope). The sublayer
+/// runs on the nodes' step ticks: an ack owed to a neighbor rides the
+/// next step's packet or lone height frame to it, and flight deadlines,
 /// which fall on steps, are checked there, so the transport arms a
 /// retransmit timer of its own mostly after a node's last step.
 ///
@@ -1028,7 +1194,7 @@ pub fn run_gossip_balancing_adversarial(
         assert!((d as usize) < n, "destination {d} is not a node (n = {n})");
     }
     adversary.validate(n);
-    let nodes = build_nodes(topology, dests, cfg, workload, adversary);
+    let nodes = build_nodes(topology, dests, cfg, workload, plan, adversary);
     match cfg.reliability {
         None => run_stack(nodes, topology, faults, seed, plan, threads, |node| {
             (node, LinkCounters::default(), 0)
@@ -1062,7 +1228,9 @@ mod tests {
     /// Every variant and field of a gossip message changes its digest
     /// encoding, and vectors are length-prefixed: heights `[1,2]` then
     /// `[3]` is not `[1]` then `[2,3]`, and likewise for attestations.
-    /// A frame writes its variant tag and the digest of its encoding.
+    /// A frame writes its variant tag and the digest of its encoding; a
+    /// packet writes its fields, then whether a frame rides it and that
+    /// frame's digest.
     #[test]
     fn digest_encoding_separates_variants_fields_and_vectors() {
         use crate::stats::message_digest;
@@ -1071,7 +1239,16 @@ mod tests {
         };
         let heights = |step, h: &[u32]| frame(step, h, &[]);
         let attest = |a: &[(u32, u64, u64)]| frame(1, &[], a);
-        let packet = |dest, seq| GossipMsg::Packet { dest, seq };
+        let packet = |dest, seq| GossipMsg::Packet {
+            dest,
+            seq,
+            frame: None,
+        };
+        let riding = |step, h: &[u32]| GossipMsg::Packet {
+            dest: 1,
+            seq: 2,
+            frame: Some(Arc::new(HeightFrame::new(step, h.into(), Box::default()))),
+        };
         let msgs = [
             heights(1, &[1, 2]),
             heights(2, &[1, 2]),
@@ -1086,6 +1263,9 @@ mod tests {
             attest(&[(1, 4, 3)]),
             attest(&[(1, 2, 4)]),
             frame(1, &[1, 2], &[(1, 2, 3)]),
+            riding(1, &[1, 2]),
+            riding(2, &[1, 2]),
+            riding(1, &[]),
         ];
         let digests: BTreeSet<u64> = msgs.iter().map(message_digest).collect();
         assert_eq!(digests.len(), msgs.len());
@@ -1105,6 +1285,13 @@ mod tests {
         w.u8(0);
         w.u64(encoding);
         assert_eq!(message_digest(&frame(5, &[1, 2], &[(3, 4, 6)])), w.finish());
+        let mut w = DigestWriter::new();
+        w.u8(1);
+        w.u32(1);
+        w.u32(2);
+        w.u8(1);
+        w.u64(HeightFrame::new(1, [1, 2].into(), Box::default()).digest);
+        assert_eq!(message_digest(&riding(1, &[1, 2])), w.finish());
 
         // Forging a copy re-digests it and leaves the shared frame alone.
         let shared = Arc::new(HeightFrame::new(5, [1, 2].into(), [(3, 4, 6)].into()));
@@ -1224,12 +1411,38 @@ mod tests {
         assert_ne!(go(6).digest, a.digest);
     }
 
+    /// The number of frames a node whose heights at steps `0, 1, …` were
+    /// `trajectory` sends under the longest silence `refresh`: one on
+    /// every change, and one whenever the silence since the last reaches
+    /// its limit, which starts at `refresh / 4` (at least 1) after a
+    /// change and doubles up to `refresh` with each unchanged repeat.
+    fn frames_by_rule(trajectory: &[Vec<u32>], refresh: u64) -> u64 {
+        let (mut last, mut silence, mut frames) = (None::<(u64, &Vec<u32>)>, 0, 0);
+        for (step, heights) in (0..).zip(trajectory) {
+            match last {
+                Some((at, held)) if held == heights => {
+                    if step - at < silence {
+                        continue;
+                    }
+                    silence = (2 * silence).min(refresh);
+                }
+                _ => silence = (refresh / 4).max(1),
+            }
+            last = Some((step, heights));
+            frames += 1;
+        }
+        frames
+    }
+
     /// `refresh_every` bounds the silence between frames, not the
     /// frame rate: at 1 every node sends a frame every step, and longer
     /// silences drop only the frames that would repeat unchanged heights.
     /// On ideal links every change still reaches the neighbors before
     /// their next step, so every routing decision, and the throughput,
-    /// stays exactly that of a frame every step.
+    /// stays exactly that of a frame every step. The heights each node's
+    /// every-step frames carry are therefore its heights in every run,
+    /// and the frames of a longer silence are exactly those the backoff
+    /// rule picks from them.
     #[test]
     fn refresh_knob_trades_control_traffic_for_throughput() {
         let topo = chain(4);
@@ -1243,24 +1456,58 @@ mod tests {
         let every_step = go(1);
         // One frame per step on each of the chain's 6 directed edges.
         assert_eq!(every_step.gossips_sent, steps * 6);
+        // Each node's heights at every step, from its every-step frames.
+        let mut c = cfg(steps);
+        c.refresh_every = 1;
+        let plan = ChurnPlan::new();
+        let nodes = build_nodes(&topo, &[3], c, &wl, &plan, &AdversaryPlan::new());
+        let mut rt = Runtime::new(nodes, &topo.points, 1.0, FaultConfig::ideal(), 9, &plan);
+        let mut trajectories: Vec<Vec<Vec<u32>>> = vec![Vec::new(); 4];
+        while !rt.run_with_limit(1) {
+            for (node, trajectory) in rt.nodes().iter().zip(&mut trajectories) {
+                if let Some(f) = &node.last_frame {
+                    if f.step == trajectory.len() as u64 {
+                        trajectory.push(f.heights.to_vec());
+                    }
+                }
+            }
+        }
+        assert!(trajectories.iter().all(|t| t.len() == steps as usize));
         let mut prev = every_step.gossips_sent;
-        for refresh in [2, 4, 10] {
+        for refresh in [2, 4, 8, 10] {
             let run = go(refresh);
             assert!(run.conserved(), "{run:?}");
+            let frames: u64 = (0..4u32)
+                .zip(&trajectories)
+                .map(|(id, t)| topo.graph.neighbors(id).len() as u64 * frames_by_rule(t, refresh))
+                .sum();
+            assert_eq!(run.gossips_sent, frames, "refresh {refresh}");
             assert!(run.gossips_sent < prev, "refresh {refresh}: {run:?}");
             prev = run.gossips_sent;
             assert_eq!(run.absorbed, every_step.absorbed, "refresh {refresh}");
             assert_eq!(run.packets_sent, every_step.packets_sent);
         }
-        // A 10-step silence sends under 60 % of the every-step frames.
-        assert!(prev * 10 < every_step.gossips_sent * 6, "{prev}");
+    }
+
+    /// The steps at which an idle node sends its height frames over a run
+    /// of `steps` steps: step 0, then after silences of `refresh / 4`
+    /// (at least 1) steps, doubling up to `refresh`.
+    fn idle_frame_steps(refresh: u64, steps: u64) -> Vec<u64> {
+        let (mut at, mut silence) = (vec![0], (refresh / 4).max(1));
+        while at[at.len() - 1] + silence < steps {
+            at.push(at[at.len() - 1] + silence);
+            silence = (2 * silence).min(refresh);
+        }
+        at
     }
 
     /// With no traffic no height ever changes, so frames go out only at
-    /// the longest-silence and attestation cadence, and the count of
-    /// frames sent has a closed form.
+    /// the backed-off silences, and the count of frames sent has a closed
+    /// form. Attestation sends no frame of its own: it rides every frame
+    /// but the first (at step 0 a node has observed nobody yet), each
+    /// frame swearing to the neighbors' frames of the step before.
     #[test]
-    fn an_idle_network_gossips_only_at_the_silence_and_attestation_cadence() {
+    fn an_idle_network_gossips_only_at_the_backed_off_silence() {
         let topo = triangle_tail();
         let directed_edges = 2 * topo.graph.num_edges() as u64;
         let idle = |refresh, defense: Option<DefenseConfig>| {
@@ -1269,53 +1516,44 @@ mod tests {
             c.defense = defense;
             balance(&topo, &[3], c, &[], FaultConfig::ideal(), 1)
         };
-        // Defense off: a frame at step 0, then one per silence.
-        for refresh in [1u64, 2, 3, 7] {
+        assert_eq!(idle_frame_steps(1, 10), (0..10).collect::<Vec<_>>());
+        assert_eq!(idle_frame_steps(3, 10), [0, 1, 3, 6, 9]);
+        assert_eq!(idle_frame_steps(8, 40), [0, 2, 6, 14, 22, 30, 38]);
+        assert_eq!(idle_frame_steps(10, 40), [0, 2, 6, 14, 24, 34]);
+        for refresh in [1u64, 2, 3, 7, 8, 10] {
+            let frames = idle_frame_steps(refresh, 101).len() as u64;
             let run = idle(refresh, None);
-            let frames = 101u64.div_ceil(refresh);
             assert_eq!(run.gossips_sent, frames * directed_edges, "{refresh}");
             assert_eq!(run.stats.per_kind["heights"].delivered, run.gossips_sent);
             assert_eq!(run.attests_sent, 0);
             assert!(!run.stats.per_kind.contains_key("packet"));
+            let run = idle(refresh, Some(DefenseConfig::default()));
+            assert_eq!(run.gossips_sent, frames * directed_edges, "{refresh}");
+            assert_eq!(run.attests_sent, (frames - 1) * directed_edges);
+            assert_eq!(run.quarantines, 0, "{run:?}");
         }
-        // Attestation every 2 steps inside a 5-step silence: a frame every
-        // other step, each carrying an attestation but the first (at step
-        // 0 the node has observed nobody yet).
-        let attest_every_2 = DefenseConfig {
-            attest_every: 2,
-            ..DefenseConfig::default()
-        };
-        let run = idle(5, Some(attest_every_2));
-        assert_eq!(run.gossips_sent, 101u64.div_ceil(2) * directed_edges);
-        assert_eq!(run.attests_sent, (101u64.div_ceil(2) - 1) * directed_edges);
-        // Attestation every 3 steps with a 2-step silence: frames at the
-        // steps `s` with `s % 3` in {0, 2}, the keepalive at 3m + 2
-        // resetting the silence before 3m + 4.
-        let attest_every_3 = DefenseConfig {
-            attest_every: 3,
-            ..DefenseConfig::default()
-        };
-        let run = idle(2, Some(attest_every_3));
-        let frames = (0..101u64).filter(|s| s % 3 != 1).count() as u64;
-        assert_eq!(run.gossips_sent, frames * directed_edges);
-        assert_eq!(run.attests_sent, (101u64.div_ceil(3) - 1) * directed_edges);
-        assert_eq!(run.quarantines, 0, "{run:?}");
+        // The default: 14 frames in 101 steps, against 51 at a 2-step
+        // silence.
+        assert_eq!(GossipConfig::new(cfg(1).balancing, 1).refresh_every, 8);
+        assert_eq!(idle_frame_steps(8, 101).len(), 14);
     }
 
     /// A frame lost on the wire is repaired by the sender's next frame,
-    /// which follows within `refresh_every` steps and carries its current
-    /// heights; the receiver's cache never rolls back. Node 0's heights
-    /// change every 7th step and hold in between, over links that lose
-    /// 40 % of frames; the run is stepped one event at a time to log
-    /// every frame node 0 sends and every value node 1 caches for it.
-    /// The changes stop 50 steps before the end, so some 16 refresh
-    /// frames follow the last one: node 1 misses the final heights only
-    /// if all of them are lost (probability 0.4¹⁶ < 10⁻⁶).
+    /// which follows a change frame after `refresh_every / 4` steps and
+    /// carries the current heights; the receiver's cache never rolls
+    /// back. Node 0's heights change every 7th step and hold in between,
+    /// over links that lose 40 % of frames; the run is stepped one event
+    /// at a time to log every frame node 0 sends and every value node 1
+    /// caches for it. At the default longest silence of 8 the frames
+    /// follow each change after 2 and 6 steps, and after the last change
+    /// the silences grow to 8. The changes stop 100 steps before the
+    /// end, so 15 frames carry the final heights: node 1 misses them
+    /// only if all of those are lost (probability 0.4¹⁵ < 10⁻⁵).
     #[test]
     fn a_dropped_change_frame_is_repaired_within_the_longest_silence() {
         let topo = chain(2);
-        let (steps, refresh) = (200u64, 3u64);
-        let mut c = GossipConfig::new(
+        let steps = 250u64;
+        let c = GossipConfig::new(
             BalancingConfig {
                 threshold: 1e9,
                 gamma: 0.0,
@@ -1323,15 +1561,17 @@ mod tests {
             },
             steps,
         );
-        c.refresh_every = refresh;
-        let wl: Vec<(u64, u32, u32)> = (0..steps - 50).step_by(7).map(|s| (s, 0, 1)).collect();
+        assert_eq!(c.refresh_every, 8);
+        let changes: Vec<u64> = (0..steps - 100).step_by(7).collect();
+        let wl: Vec<(u64, u32, u32)> = changes.iter().map(|&s| (s, 0, 1)).collect();
         let faults = FaultConfig {
             drop_prob: 0.4,
             duplicate_prob: 0.0,
             delay: DelayDist::Uniform { min: 1, max: 4 },
         };
-        let nodes = build_nodes(&topo, &[1], c, &wl, &AdversaryPlan::new());
-        let mut rt = Runtime::new(nodes, &topo.points, 1.0, faults, 3, &ChurnPlan::new());
+        let plan = ChurnPlan::new();
+        let nodes = build_nodes(&topo, &[1], c, &wl, &plan, &AdversaryPlan::new());
+        let mut rt = Runtime::new(nodes, &topo.points, 1.0, faults, 3, &plan);
         let mut sent: Vec<(u64, Vec<u32>)> = Vec::new();
         let mut cached: Vec<(u64, Vec<u32>)> = Vec::new();
         while !rt.run_with_limit(1) {
@@ -1347,14 +1587,17 @@ mod tests {
             }
         }
         assert_eq!(rt.node(0).counts.gossips_sent, sent.len() as u64);
-        // Frames go out on change or after the longest silence, never
-        // otherwise and never later.
-        assert_eq!(sent[0].0, 0);
-        for w in sent.windows(2) {
-            let gap = w[1].0 - w[0].0;
-            assert!(gap <= refresh, "{w:?}");
-            assert!(gap == refresh || w[1].1 != w[0].1, "{w:?}");
-        }
+        // Frames go out on each change and after the backed-off
+        // silences, never otherwise.
+        let mut expected: Vec<u64> = changes
+            .windows(2)
+            .flat_map(|w| [w[0], w[0] + 2, w[0] + 6])
+            .collect();
+        let last = changes[changes.len() - 1];
+        expected.extend(idle_frame_steps(8, steps - last).iter().map(|s| last + s));
+        let sent_steps: Vec<u64> = sent.iter().map(|&(s, _)| s).collect();
+        assert_eq!(sent_steps, expected);
+        assert_eq!(expected.len() - 3 * (changes.len() - 1), 15);
         // The cache only moves forward, to frames node 0 actually sent.
         for w in cached.windows(2) {
             assert!(w[0].0 < w[1].0, "cache rolled back: {w:?}");
@@ -1362,14 +1605,14 @@ mod tests {
         for c in &cached {
             assert!(sent.contains(c), "cached a frame never sent: {c:?}");
         }
-        // Every lost change-frame is superseded by the next frame, sent
-        // within the silence bound; count those whose next frame arrived.
+        // Every lost change-frame is superseded by the next frame, 2 steps
+        // later with the same heights; count those whose next frame
+        // arrived.
         let delivered = |step: u64| cached.iter().any(|&(s, _)| s == step);
         let mut repaired = 0;
-        for (i, w) in sent.windows(2).enumerate() {
-            let changed = i == 0 || w[0].1 != sent[i - 1].1;
-            if changed && !delivered(w[0].0) && delivered(w[1].0) {
-                assert!(w[1].0 - w[0].0 <= refresh);
+        for w in sent.windows(2) {
+            if changes.contains(&w[0].0) && !delivered(w[0].0) && delivered(w[1].0) {
+                assert_eq!(w[1].0 - w[0].0, 2);
                 assert_eq!(w[1].1, w[0].1, "no change in between here");
                 repaired += 1;
             }
@@ -1453,7 +1696,14 @@ mod tests {
         };
         // Seed 1 is chosen so that, pre-fix, the *final* cache state is
         // stale: the step-58 gossip overtakes the step-59 one in flight.
-        let nodes = build_nodes(&topo, &[2], c, &wl, &AdversaryPlan::new());
+        let nodes = build_nodes(
+            &topo,
+            &[2],
+            c,
+            &wl,
+            &ChurnPlan::new(),
+            &AdversaryPlan::new(),
+        );
         let mut rt = Runtime::new(
             nodes,
             &topo.points,
@@ -1491,14 +1741,11 @@ mod tests {
         let wl = uniform_workload(5, &[4], inject_steps, 1, 2);
         let faults = FaultConfig::lossy(0.3);
         let ff = balance(&topo, &[4], cfg(steps), &wl, faults, 3);
-        let rel = balance(
-            &topo,
-            &[4],
-            cfg(steps).with_reliability(ReliableConfig::default()),
-            &wl,
-            faults,
-            3,
-        );
+        let reliable = |steps| {
+            let c = cfg(steps).with_reliability(ReliableConfig::default());
+            balance(&topo, &[4], c, &wl, faults, 3)
+        };
+        let rel = reliable(steps);
         assert!(ff.conserved(), "{ff:?}");
         assert!(rel.conserved(), "{rel:?}");
         // Fire-and-forget bleeds packets at 30% loss...
@@ -1507,7 +1754,11 @@ mod tests {
         // ...the reliable sublayer wins them back with retransmissions.
         assert!(rel.stats.retransmits > 0);
         assert!(rel.stats.acks > 0);
-        assert!(rel.stats.rto_fired > 0);
+        // The drain outlasts every flight, so each deadline fell on a step
+        // tick and the transport never armed a timer of its own: the
+        // only timers are the 5 nodes' step ticks.
+        assert_eq!(rel.stats.rto_fired, 0);
+        assert_eq!(rel.stats.timers_set, 5 * steps);
         assert!(
             rel.delivery_rate() >= 0.99,
             "reliable rate {} (run {rel:?})",
@@ -1519,6 +1770,19 @@ mod tests {
         assert!(rel.stats.per_kind["heights"].dropped > 0);
         // Residual loss can only come from retry-budget exhaustion.
         assert!(rel.link_lost <= rel.gave_up);
+
+        // Cut the run 2 steps after injection stops: packets are still in
+        // flight when each node's last tick passes, so only the
+        // transport's own timer can retransmit them, and it settles all
+        // of them.
+        let cut = reliable(inject_steps + 2);
+        assert!(cut.stats.rto_fired > 0, "{cut:?}");
+        assert_eq!(
+            cut.stats.timers_set,
+            5 * (inject_steps + 2) + cut.stats.rto_fired
+        );
+        assert!(cut.conserved(), "{cut:?}");
+        assert_eq!(cut.in_flight, 0, "{cut:?}");
     }
 
     #[test]
@@ -1854,6 +2118,174 @@ mod tests {
         assert!(run.blackholed > 100, "{run:?}");
         assert_eq!(run.stolen, 0, "selective drop books as blackholed");
         assert_eq!(run.absorbed, 0, "node 0's only route runs through 1");
+    }
+
+    /// Attestation needs no frame of its own: on an idle network every
+    /// frame after the first few comes at the longest silence, and the
+    /// equivocator turns only after that, yet both witnesses convict it
+    /// from the attestations riding those frames. A high strike
+    /// threshold keeps the plausibility detector out of it.
+    #[test]
+    fn an_equivocator_is_caught_on_an_idle_network_at_the_longest_silence() {
+        let topo = triangle_tail();
+        let c = cfg(200).with_defense(DefenseConfig {
+            quarantine_at: 1000,
+            ..DefenseConfig::default()
+        });
+        // Step 14 is the last frame before the silences reach 8; the
+        // equivocator turns at step 20.
+        assert_eq!(idle_frame_steps(c.refresh_every, 30), [0, 2, 6, 14, 22]);
+        let turn = 20 * c.step_len;
+        let adv = AdversaryPlan::default().equivocate(turn, 0);
+        let run = adversarial(&topo, &[3], c, &[], FaultConfig::ideal(), 10, &adv, 1);
+        assert!(run.equivocations > 0, "{run:?}");
+        assert_eq!(run.quarantined_nodes, [0]);
+        assert_eq!(run.quarantines, 2, "both witnesses convict ({run:?})");
+        assert!(!run.stats.per_kind.contains_key("packet"));
+    }
+
+    /// A frame riding a packet is taken in before the radio decides on
+    /// the packet: a copy the radio refuses as a duplicate, and one a
+    /// selective dropper eats, still update the receiver's cache and its
+    /// attestation record.
+    #[test]
+    fn a_riding_frame_counts_when_the_radio_refuses_its_packet() {
+        let topo = chain(3);
+        let c = cfg(10).with_defense(DefenseConfig::default());
+        let adv = AdversaryPlan::new().selective_drop(0, 1, vec![0]);
+        let plan = ChurnPlan::new();
+        let mut node = build_nodes(&topo, &[2], c, &[], &plan, &adv).swap_remove(1);
+        let mut ctx = Ctx::new(1, 5);
+        let riding = |seq, step, h: u32| GossipMsg::Packet {
+            dest: 2,
+            seq,
+            frame: Some(Arc::new(HeightFrame::new(step, [h].into(), Box::default()))),
+        };
+        let latest = |node: &GossipNode, peer| node.observed[&peer].latest().unwrap().0;
+        // From node 2: a packet admitted, then a refused copy of it
+        // carrying a newer frame.
+        let first = GossipMsg::Packet {
+            dest: 2,
+            seq: 0,
+            frame: None,
+        };
+        node.on_message(&mut ctx, 2, first);
+        node.on_message(&mut ctx, 2, riding(0, 4, 3));
+        assert_eq!(node.counts.packets_received, 1, "the copy was refused");
+        assert_eq!(node.cached[&2], (4, vec![3]));
+        assert_eq!(latest(&node, 2), 4);
+        // From node 0, whose packets the radio eats.
+        node.on_message(&mut ctx, 0, riding(0, 6, 2));
+        assert_eq!(node.wire.blackholed, 1);
+        assert_eq!(node.counts.packets_received, 1);
+        assert_eq!(node.cached[&0], (6, vec![2]));
+        assert_eq!(latest(&node, 0), 6);
+        assert!(ctx.sends.is_empty());
+    }
+
+    /// At every step each of a node's neighbors, all of them in its live
+    /// radio row, gets exactly one message: the step's packet to it, with
+    /// the step's frame riding if one is due, or the frame alone. Every
+    /// copy of a frame is the same frame, forged per copy only by an
+    /// attacker's radio. The run has loss, duplication, a delay spread,
+    /// a joiner, a crash, a drift, an equivocator and the defense; a copy
+    /// of every live node is stepped at intervals through it.
+    #[test]
+    fn every_live_neighbor_gets_one_copy_of_each_frame_per_step() {
+        let topo = diamond();
+        let wl = source_workload(200, 2, 0, 5);
+        let plan = ChurnPlan::new()
+            .join(300, 3, topo.points[3])
+            .crash(900, 2)
+            .drift(1200, 4, Point::new(0.22, -0.04));
+        let adv = AdversaryPlan::default().equivocate(100, 1);
+        let faults = FaultConfig {
+            drop_prob: 0.1,
+            duplicate_prob: 0.1,
+            delay: DelayDist::Uniform { min: 1, max: 4 },
+        };
+        let c = cfg(240).with_defense(DefenseConfig::default());
+        let nodes = build_nodes(&topo, &[5], c, &wl, &plan, &adv);
+        let mut rt = Runtime::new(nodes, &topo.points, topo.max_range, faults, 6, &plan);
+        let (mut stepped, mut with_frame, mut forged) = (0, 0, 0);
+        while !rt.run_with_limit(7) {
+            for id in 0..6u32 {
+                let node = rt.node(id);
+                if rt.member_state(id) != MemberState::Alive || !node.ticking {
+                    continue;
+                }
+                let row = rt.radio_neighbors(id);
+                assert!(node.nbrs.iter().all(|(w, _)| row.contains(w)), "{id}");
+                let mut copy = node.clone();
+                let mut ctx = Ctx::new(id, rt.now());
+                copy.run_step(&mut ctx);
+                stepped += 1;
+                let mut to: Vec<u32> = ctx.sends.iter().map(|&(w, _)| w).collect();
+                to.sort_unstable();
+                to.dedup();
+                assert_eq!(to.len(), ctx.sends.len(), "one message per neighbor");
+                let frame = copy.last_frame.filter(|f| f.step == node.step);
+                let Some(frame) = frame else {
+                    assert!(ctx
+                        .sends
+                        .iter()
+                        .all(|(_, m)| matches!(m, GossipMsg::Packet { frame: None, .. })));
+                    continue;
+                };
+                with_frame += 1;
+                assert_eq!(ctx.sends.len(), copy.nbrs.len());
+                for (_, msg) in &ctx.sends {
+                    let sent = match msg {
+                        GossipMsg::Heights(f) => f,
+                        GossipMsg::Packet { frame, .. } => frame.as_ref().expect("riding"),
+                    };
+                    if !Arc::ptr_eq(sent, &frame) {
+                        assert_eq!(id, 1, "only the equivocator forges");
+                        assert_eq!((sent.step, &sent.attest), (frame.step, &frame.attest));
+                        forged += 1;
+                    }
+                }
+            }
+        }
+        assert!(stepped > 500 && with_frame > 100 && forged > 0);
+        assert!(rt.stats().joins == 1 && rt.stats().crashes == 1);
+        assert_eq!(rt.stats().non_neighbor_sends, 0);
+    }
+
+    /// A node a join brings in later is in nobody's radio row before it
+    /// joins, so its topology neighbors send it nothing until then; once
+    /// it joins in range they route to it. Joining out of range of them
+    /// it never gets anything. Nodes used to send every topology
+    /// neighbor frames and packets from the start, which the runtime
+    /// discarded as non-neighbor sends.
+    #[test]
+    fn a_joiner_gets_no_frames_or_packets_before_it_joins() {
+        let topo = chain(4);
+        let wl = source_workload(150, 1, 0, 3);
+        let adv = AdversaryPlan::new();
+        let threads = crate::shard_threads_from_env();
+        let go = |at: Point| {
+            let plan = ChurnPlan::new().join(400, 3, at);
+            run_gossip_balancing_adversarial(
+                &topo,
+                &[3],
+                cfg(250),
+                &wl,
+                FaultConfig::ideal(),
+                1,
+                &plan,
+                &adv,
+                threads,
+            )
+        };
+        let in_range = go(topo.points[3]);
+        assert_eq!(in_range.stats.non_neighbor_sends, 0, "{in_range:?}");
+        assert!(in_range.conserved(), "{in_range:?}");
+        assert!(in_range.absorbed > 0, "the joiner is reached once it joins");
+        let far = go(Point::new(5.0, 5.0));
+        assert_eq!(far.stats.non_neighbor_sends, 0, "{far:?}");
+        assert!(far.conserved(), "{far:?}");
+        assert_eq!(far.absorbed, 0);
     }
 
     /// Stale replay freezes the adversary's advertised frame at
