@@ -1225,6 +1225,29 @@ mod tests {
     use adhoc_graph::GraphBuilder;
     use adhoc_routing::{ActiveEdge, BalancingRouter};
 
+    /// Test views of a node's per-peer state.
+    impl GossipNode {
+        /// The peers the node sends to, in send order.
+        pub(crate) fn live_peers(&self) -> Vec<u32> {
+            self.nbrs.iter().map(|&(w, _)| w).collect()
+        }
+
+        /// The `(step, heights)` the node caches for `peer`.
+        fn cached_of(&self, peer: u32) -> Option<&(u64, Vec<u32>)> {
+            self.cached.get(&peer)
+        }
+
+        /// The step of `peer`'s latest frame the node observed.
+        fn observed_step(&self, peer: u32) -> Option<u64> {
+            let seen = self.observed.get(&peer)?;
+            seen.latest().map(|(step, _)| step)
+        }
+
+        fn is_quarantined(&self, peer: u32) -> bool {
+            self.quarantined.contains(&peer)
+        }
+    }
+
     /// Every variant and field of a gossip message changes its digest
     /// encoding, and vectors are length-prefixed: heights `[1,2]` then
     /// `[3]` is not `[1]` then `[2,3]`, and likewise for attestations.
@@ -2181,6 +2204,130 @@ mod tests {
         assert_eq!(node.cached[&0], (6, vec![2]));
         assert_eq!(latest(&node, 0), 6);
         assert!(ctx.sends.is_empty());
+    }
+
+    /// A lone height frame of `step` with one height and the claims `attest`.
+    fn lone_frame(step: u64, h: u32, attest: &[(u32, u64, u64)]) -> GossipMsg {
+        GossipMsg::Heights(Arc::new(HeightFrame::new(step, [h].into(), attest.into())))
+    }
+
+    /// The recipients of a step's sends, in send order.
+    fn recipients(ctx: &Ctx<GossipMsg>) -> Vec<u32> {
+        ctx.sends.iter().map(|&(w, _)| w).collect()
+    }
+
+    /// A neighbor that drifts out of the radio row loses its edge and the
+    /// heights cached for it, but not the node's record of what it said:
+    /// the node's next frame still swears to the neighbor's last frame,
+    /// which no earlier frame swore to, and a later claim that the
+    /// neighbor said something else at that step still convicts it.
+    #[test]
+    fn a_departed_neighbors_last_frame_is_still_sworn_to_and_checked() {
+        let topo = chain(3);
+        let c = cfg(10).with_defense(DefenseConfig::default());
+        let (plan, adv) = (ChurnPlan::new(), AdversaryPlan::new());
+        let mut node = build_nodes(&topo, &[2], c, &[], &plan, &adv).swap_remove(1);
+        let mut ctx = Ctx::new(1, 0);
+        let claims = |ctx: &Ctx<GossipMsg>| -> Vec<Vec<(u32, u64, u64)>> {
+            let attest = |(_, msg): &(u32, GossipMsg)| match msg {
+                GossipMsg::Heights(f) => f.attest.to_vec(),
+                GossipMsg::Packet { .. } => panic!("no traffic, no packets"),
+            };
+            ctx.sends.iter().map(attest).collect()
+        };
+        // Step 0: the frame swears to node 0's frame of its step 0.
+        node.on_message(&mut ctx, 0, lone_frame(0, 0, &[]));
+        node.run_step(&mut ctx);
+        let sworn = (0, 0, heights_digest(&[0]));
+        assert_eq!(recipients(&ctx), [0, 2]);
+        assert_eq!(claims(&ctx), [[sworn], [sworn]]);
+        // Step 1: node 0's frame of its step 1 arrives; no frame is due.
+        ctx.sends.clear();
+        node.on_message(&mut ctx, 0, lone_frame(1, 3, &[]));
+        node.run_step(&mut ctx);
+        assert!(ctx.sends.is_empty());
+        // Node 0 drifts out of the row.
+        node.on_neighborhood_change(&mut ctx, &[2], topo.points[1]);
+        assert_eq!(node.live_peers(), [2]);
+        assert_eq!(node.cached_of(0), None);
+        assert_eq!(node.observed_step(0), Some(1));
+        // Step 2: the frame, to node 2 alone, swears to node 0's last one.
+        node.run_step(&mut ctx);
+        let sworn = (0, 1, heights_digest(&[3]));
+        assert_eq!(recipients(&ctx), [2]);
+        assert_eq!(claims(&ctx), [[sworn]]);
+        // Node 2 swears to the same frame, then to a different one.
+        node.on_message(&mut ctx, 2, lone_frame(3, 0, &[sworn]));
+        assert_eq!(node.counts.equivocations, 0);
+        let (peer, step, digest) = sworn;
+        node.on_message(&mut ctx, 2, lone_frame(4, 0, &[(peer, step, digest ^ 1)]));
+        assert_eq!(node.counts.equivocations, 1);
+        assert!(node.is_quarantined(0));
+    }
+
+    /// An edge to a joiner opens when the joiner first shows up in the
+    /// node's radio row, and goes last in the node's send order: after the
+    /// edges the node started with and those opened before it, whatever
+    /// the ids. Node 1 of the triangle starts with node 3 alone, then
+    /// meets joiner 2, then joiner 0.
+    #[test]
+    fn a_met_joiners_edge_is_sent_to_after_the_edges_opened_before_it() {
+        let topo = triangle_tail();
+        let plan = ChurnPlan::new()
+            .join(16, 2, topo.points[2])
+            .join(32, 0, topo.points[0]);
+        let adv = AdversaryPlan::new();
+        let mut node = build_nodes(&topo, &[3], cfg(10), &[], &plan, &adv).swap_remove(1);
+        assert_eq!(node.live_peers(), [3]);
+        let mut ctx = Ctx::new(1, 16);
+        node.on_neighborhood_change(&mut ctx, &[2, 3], topo.points[1]);
+        assert_eq!(node.live_peers(), [3, 2]);
+        node.on_neighborhood_change(&mut ctx, &[0, 2, 3], topo.points[1]);
+        assert_eq!(node.live_peers(), [3, 2, 0]);
+        node.run_step(&mut ctx);
+        assert_eq!(recipients(&ctx), [3, 2, 0]);
+    }
+
+    /// Quarantine severs a peer: it gets no frame copy and no packet, and
+    /// its later frames, alone or riding a packet, are neither cached nor
+    /// observed; a data packet it relays is still admitted and counted.
+    #[test]
+    fn a_quarantined_peer_gets_nothing_and_only_its_packets_are_taken() {
+        let topo = chain(3);
+        let c = cfg(10).with_defense(DefenseConfig::default());
+        let wl = source_workload(10, 1, 1, 2);
+        let (plan, adv) = (ChurnPlan::new(), AdversaryPlan::new());
+        let mut node = build_nodes(&topo, &[2], c, &wl, &plan, &adv).swap_remove(1);
+        let mut ctx = Ctx::new(1, 0);
+        // Three frames above the buffer capacity: three strikes.
+        for step in 0..3 {
+            node.on_message(&mut ctx, 2, lone_frame(step, 51, &[]));
+        }
+        assert_eq!(node.counts.implausible_gossip, 3);
+        assert_eq!(node.counts.quarantines, 1);
+        assert!(node.is_quarantined(2));
+        assert_eq!(node.live_peers(), [0]);
+        // The step's packet for node 2, with the frame riding, goes to node
+        // 0; node 2 gets nothing.
+        node.run_step(&mut ctx);
+        assert_eq!(recipients(&ctx), [0]);
+        assert!(matches!(
+            ctx.sends[0].1,
+            GossipMsg::Packet { frame: Some(_), .. }
+        ));
+        // Node 2's later frames are ignored; its packet is not.
+        node.on_message(&mut ctx, 2, lone_frame(3, 0, &[]));
+        let riding = GossipMsg::Packet {
+            dest: 2,
+            seq: 0,
+            frame: Some(Arc::new(HeightFrame::new(4, [0].into(), Box::default()))),
+        };
+        node.on_message(&mut ctx, 2, riding);
+        assert_eq!(node.cached_of(2), None);
+        assert_eq!(node.observed_step(2), None);
+        assert_eq!(node.counts.packets_received, 1);
+        assert_eq!(node.counts.stale_gossip_dropped, 0);
+        assert_eq!(node.counts.quarantines, 1);
     }
 
     /// At every step each of a node's neighbors, all of them in its live
