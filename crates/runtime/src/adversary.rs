@@ -481,11 +481,11 @@ mod tests {
                 .as_ref()
                 .expect("fire-and-forget links dedup");
             assert!(
-                seen.len() <= node.nbrs.len(),
+                seen.len() <= node.live_peers().len(),
                 "node {} tracks {} dedup entries for {} neighbors",
                 id,
                 seen.len(),
-                node.nbrs.len()
+                node.live_peers().len()
             );
         }
     }

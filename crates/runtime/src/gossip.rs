@@ -44,7 +44,7 @@ use adhoc_proximity::SpatialGraph;
 use adhoc_routing::BalancingConfig;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Timer id for the per-step tick.
@@ -68,12 +68,11 @@ pub struct HeightFrame {
     /// [`DefenseConfig`]): the sender's sworn record of the latest height
     /// frame it observed from each neighbor since its previous frame, one
     /// `(peer, peer's frame step, digest of the heights)` triple per such
-    /// neighbor. The digest stands in for a
-    /// signature over the frame: a receiver that observed a *different*
-    /// frame from `peer` for the same step has caught `peer`
-    /// equivocating — honest nodes send one frame per step to everyone,
-    /// so two signed, same-step digests can only differ if `peer` forged
-    /// at least one of them.
+    /// neighbor, in peer-id order. The digest stands in for a signature
+    /// over the frame: a receiver that observed a *different* frame from
+    /// `peer` for the same step has caught `peer` equivocating — honest
+    /// nodes send one frame per step to everyone, so two signed, same-step
+    /// digests can only differ if `peer` forged at least one of them.
     attest: Box<[(u32, u64, u64)]>,
     /// The digest of the encoding of the fields above, which every copy
     /// writes into the replay digest.
@@ -177,54 +176,87 @@ impl Message for GossipMsg {
 /// own first-hand observations by a gossip frame or two.
 const OBSERVED_WINDOW: usize = 4;
 
-/// The height frames a node observed from one peer, for attestation.
-/// Kept inline (no heap): a node reads it for every claim a received
-/// frame makes about a peer the node heard.
-#[derive(Debug, Clone, Copy, Default)]
-struct Observed {
-    /// `(step, digest)` of the peer's last [`OBSERVED_WINDOW`] frames, a
-    /// ring: the first `len` slots are filled, and a new frame replaces
-    /// the one that arrived earliest, at `next`.
-    frames: [(u64, u64); OBSERVED_WINDOW],
-    len: usize,
-    next: usize,
-    /// Whether one of this node's frames has already sworn to the latest
-    /// of them (the one with the highest step).
-    attested: bool,
-    /// How many steps this node had run when a frame of the peer last
-    /// arrived. Nodes step at the same rate and a frame arrives after the
-    /// step that sent it, so at this node's step `t` the peer has been
-    /// silent for about `t + 1 - heard` steps.
-    heard: u64,
+/// Where a node's topology edge to one peer stands, and so what the
+/// node keeps about the peer ([`Peer`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Link {
+    /// Not open yet: the peer, or the node, joins later. The edge opens
+    /// when the peer first shows up in the node's radio row.
+    #[default]
+    Unmet,
+    /// Open: the peer gets the node's frames and packets.
+    Live,
+    /// Eroded for good: the peer left the node's radio row. The defense's
+    /// record of it (observed frames, `fed`, `suspicion`) stays, to swear
+    /// to and convict on its last frames; its cached heights stay only
+    /// while it is back in the row.
+    Gone,
+    /// Severed for good by the defense: the row keeps nothing but the id,
+    /// and the peer's frames are ignored.
+    Quarantined,
 }
 
-impl Observed {
+/// What a node keeps about one topology neighbor.
+#[derive(Debug, Clone, Default)]
+struct Peer {
+    id: u32,
+    cost: f64,
+    link: Link,
+    /// The peer's freshest gossiped heights, tagged with the sender step
+    /// that produced them — the tag is what lets the node refuse
+    /// reordered (older) gossip instead of overwriting fresher state.
+    cached: Option<(u64, Vec<u32>)>,
+    /// Defense: `(step, digest)` of the peer's last [`OBSERVED_WINDOW`]
+    /// *observed* frames, a ring: the first `observed_len` slots are
+    /// filled, and a new frame replaces the one that arrived earliest, at
+    /// `observed_next`. Kept apart from `cached` because attestation must
+    /// cover frames plausibility refused to trust (an equivocator whose
+    /// lie to *us* was implausible is convicted by what it told the
+    /// neighbors it was attracting).
+    observed: [(u64, u64); OBSERVED_WINDOW],
+    observed_len: usize,
+    observed_next: usize,
+    /// Defense: the latest observed frame (the one with the highest step)
+    /// awaits the node's next frame, which swears to it.
+    due: bool,
+    /// Defense: how many steps the node had run when a frame of the peer
+    /// last arrived. Nodes step at the same rate and a frame arrives
+    /// after the step that sent it, so at the node's step `t` the peer
+    /// has been silent for about `t + 1 - heard` steps.
+    heard: u64,
+    /// Defense: packets fed to the peer since its last non-zero frame.
+    fed: u64,
+    /// Defense: the peer's suspicion score.
+    suspicion: u32,
+}
+
+impl Peer {
     /// The digest of the peer's observed frame of `step`, if recorded.
     fn digest(&self, step: u64) -> Option<u64> {
-        let frames = &self.frames[..self.len];
+        let frames = &self.observed[..self.observed_len];
         frames.iter().find(|&&(s, _)| s == step).map(|&(_, d)| d)
     }
 
     /// The peer's latest observed frame, `(step, digest)`.
     fn latest(&self) -> Option<(u64, u64)> {
-        let frames = &self.frames[..self.len];
+        let frames = &self.observed[..self.observed_len];
         frames.iter().copied().max_by_key(|&(step, _)| step)
     }
 
     /// Record the peer's frame of `step` (once per step), which arrived at
-    /// this node's step `now`; a frame newer than every recorded one is
+    /// the node's step `now`; a frame newer than every recorded one is
     /// due for attestation.
-    fn record(&mut self, now: u64, step: u64, heights: &[u32]) {
+    fn observe(&mut self, now: u64, step: u64, heights: &[u32]) {
         self.heard = now;
         if self.digest(step).is_some() {
             return;
         }
         if self.latest().is_none_or(|(latest, _)| step > latest) {
-            self.attested = false;
+            self.due = true;
         }
-        self.frames[self.next] = (step, heights_digest(heights));
-        self.next = (self.next + 1) % OBSERVED_WINDOW;
-        self.len = (self.len + 1).min(OBSERVED_WINDOW);
+        self.observed[self.observed_next] = (step, heights_digest(heights));
+        self.observed_next = (self.observed_next + 1) % OBSERVED_WINDOW;
+        self.observed_len = (self.observed_len + 1).min(OBSERVED_WINDOW);
     }
 }
 
@@ -314,11 +346,12 @@ pub struct GossipConfig {
 ///    neighbor getting the same frame at the same step, alone or riding
 ///    a packet, so frames are never filtered per neighbor.
 ///
-/// At [`DefenseConfig::quarantine_at`] the peer is quarantined: its
-/// routing edge and cached heights are pruned exactly as churn erodes a
-/// departed neighbor, its future gossip is ignored (its data packets —
-/// innocent bystanders — still deliver), and the topology layer can
-/// re-converge around it.
+/// At [`DefenseConfig::quarantine_at`] the peer is quarantined: the node
+/// drops its routing edge, its cached heights and the defense's record of
+/// it (observed frames, fed count, suspicion) — churn's erosion of a
+/// departed neighbor drops only the first two — and ignores its future
+/// gossip (its data packets — innocent bystanders — still deliver), and
+/// the topology layer can re-converge around it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefenseConfig {
     /// Maximum plausible per-gossip-step change of one height entry.
@@ -340,14 +373,6 @@ impl Default for DefenseConfig {
             probe_packets: 8,
             quarantine_at: 3,
         }
-    }
-}
-
-impl DefenseConfig {
-    fn validate(&self) {
-        assert!(self.max_height_rate >= 1, "max_height_rate must be ≥ 1");
-        assert!(self.probe_packets >= 1, "probe_packets must be ≥ 1");
-        assert!(self.quarantine_at >= 1, "quarantine_at must be ≥ 1");
     }
 }
 
@@ -385,7 +410,9 @@ impl GossipConfig {
             r.validate();
         }
         if let Some(d) = &self.defense {
-            d.validate();
+            assert!(d.max_height_rate >= 1, "max_height_rate must be ≥ 1");
+            assert!(d.probe_packets >= 1, "probe_packets must be ≥ 1");
+            assert!(d.quarantine_at >= 1, "quarantine_at must be ≥ 1");
         }
     }
 }
@@ -399,20 +426,13 @@ pub(crate) struct GossipNode {
     /// The node's radio ([`Wire`]): every frame copy leaves through it and
     /// every packet arrives through it.
     pub(crate) wire: Wire,
-    /// `(neighbor, edge cost)` pairs: the topology edges to nodes in this
-    /// node's radio row.
-    pub(crate) nbrs: Vec<(u32, f64)>,
-    /// Topology edges to nodes that had not joined when this node was
-    /// built (all of its edges, if it had not joined itself): each moves
-    /// to `nbrs` when its peer first shows up in this node's radio row.
-    unmet: Vec<(u32, f64)>,
+    /// One row per topology edge, in send order: the edges open at the
+    /// start in topology order, then each edge to a joiner, appended when
+    /// it opens.
+    peers: Vec<Peer>,
     dests: Vec<u32>,
     /// Own buffer heights, one per destination.
     heights: Vec<u32>,
-    /// Freshest gossiped heights per neighbor, tagged with the sender
-    /// step that produced them — the tag is what lets `on_message` refuse
-    /// reordered (older) gossip instead of overwriting fresher state.
-    cached: BTreeMap<u32, (u64, Vec<u32>)>,
     /// The last height frame this node sent (honest, as the node built
     /// it): the next frame is due when the heights differ from it or it
     /// is `silence` steps old.
@@ -421,34 +441,11 @@ pub(crate) struct GossipNode {
     /// hold: `max(1, refresh_every / 4)` after a frame with new heights,
     /// doubled by each unchanged repeat up to `refresh_every`.
     silence: u64,
-    /// Injections scheduled for this node: `(step, dest)`, sorted by step.
+    /// Injections still due at this node, `(step, dest)`, latest first.
     schedule: Vec<(u64, u32)>,
-    next_inj: usize,
     cfg: GossipConfig,
     step: u64,
     seq: u32,
-    /// Defense: per-peer suspicion score (empty with defense off).
-    suspicion: BTreeMap<u32, u32>,
-    /// Defense: packets fed to a peer since its last non-zero frame.
-    fed: BTreeMap<u32, u64>,
-    /// Defense: some `fed` count may have reached `probe_packets`; the
-    /// starvation probe looks at the counts only then.
-    probe_due: bool,
-    /// Defense: recent *observed* frames per peer, and whether this
-    /// node has sworn to the latest. Kept separately from `cached`
-    /// because attestation must cover frames plausibility refused to
-    /// trust (an equivocator whose lie to *us* was implausible is
-    /// convicted by what it told the neighbors it was attracting), and
-    /// kept as a short history because a neighbor's sworn record lags
-    /// our own observations by a frame.
-    observed: BTreeMap<u32, Observed>,
-    /// Defense: bit `peer % 64` is set for every peer in `observed`, and
-    /// never cleared, so a set bit only says "maybe". Most claims a frame
-    /// attests are about peers this node never heard, and the bit skips
-    /// those without a map lookup.
-    observed_peers: u64,
-    /// Defense: quarantined peers — routing edge and gossip severed.
-    quarantined: BTreeSet<u32>,
     /// Whether the per-step tick is currently armed. Joiners receive no
     /// `on_start`; their first `on_neighborhood_change` bootstraps the
     /// tick instead, and this flag keeps that idempotent.
@@ -457,34 +454,22 @@ pub(crate) struct GossipNode {
     pub(crate) counts: NodeCounts,
 }
 
-/// Per-node packet ledger.
+/// Per-node packet ledger: each field but `packets_received` counts at
+/// one node what the [`GossipRun`] field of the same name sums over all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct NodeCounts {
-    /// Packets admitted at this node.
     pub injected: u64,
-    /// Injections refused by admission control (full buffer).
     pub admission_dropped: u64,
-    /// Packets absorbed here (this node was the destination).
     pub absorbed: u64,
-    /// Packets arriving to a full buffer and discarded.
     pub overflow_dropped: u64,
-    /// Packet transmissions originated here (each decrements a buffer).
     pub packets_sent: u64,
     /// Distinct packets accepted from neighbors (duplicates excluded).
     pub packets_received: u64,
-    /// Height frames sent (one per neighbor copy, alone or riding a
-    /// packet).
     pub gossips_sent: u64,
-    /// Reordered (out-of-date) height gossips discarded on receipt.
     pub stale_gossip_dropped: u64,
-    /// Defense: height frames refused as implausible.
     pub implausible_gossip: u64,
-    /// Defense: equivocations proven by attestation mismatch.
     pub equivocations: u64,
-    /// Defense: height frames sent with an attestation riding them (one
-    /// per neighbor copy; each is also counted in `gossips_sent`).
     pub attests_sent: u64,
-    /// Defense: peers this node quarantined.
     pub quarantines: u64,
 }
 
@@ -500,36 +485,38 @@ impl GossipNode {
             self.counts.absorbed += 1;
             return;
         }
-        let Some(c) = self.col(dest) else {
-            // Not a registered destination: refuse.
-            self.counts.admission_dropped += 1;
-            return;
-        };
-        if self.heights[c] < self.cfg.balancing.capacity {
-            self.heights[c] += 1;
-            self.counts.injected += 1;
-        } else {
-            self.counts.admission_dropped += 1;
+        // An unregistered destination or a full buffer refuses it.
+        match self.col(dest) {
+            Some(c) if self.heights[c] < self.cfg.balancing.capacity => {
+                self.heights[c] += 1;
+                self.counts.injected += 1;
+            }
+            _ => self.counts.admission_dropped += 1,
         }
     }
 
-    /// The paper's step-1 rule for the directed edge `self → (w, cost)`,
-    /// using gossiped heights for `w`: the destination maximizing
+    /// The row of peer `id`: frames and packets come only over topology
+    /// edges, and a claim about a peer that is not a neighbor has none.
+    fn find(&self, id: u32) -> Option<usize> {
+        self.peers.iter().position(|p| p.id == id)
+    }
+
+    /// The paper's step-1 rule for the directed edge `self → w`, using
+    /// gossiped heights for `w`: the destination maximizing
     /// `h_v,d − ĥ_w,d − c·γ` if that value exceeds `T` — and, since the
     /// sender is authoritative for its own buffers, only if `h_v,d > 0`.
-    fn best_send(&self, w: u32, cost: f64) -> Option<usize> {
-        let cached = self.cached.get(&w);
+    fn best_send(&self, w: &Peer) -> Option<usize> {
         let mut best: Option<(f64, usize)> = None;
         for (c, &d) in self.dests.iter().enumerate() {
             if self.heights[c] == 0 || d == self.id {
                 continue;
             }
-            let hw = if w == d {
-                0
-            } else {
-                cached.map_or(0, |(_, h)| h[c])
+            // A destination absorbs: its height for itself is 0.
+            let hw = match &w.cached {
+                Some((_, h)) if w.id != d => h[c],
+                _ => 0,
             };
-            let value = self.heights[c] as f64 - hw as f64 - cost * self.cfg.balancing.gamma;
+            let value = self.heights[c] as f64 - hw as f64 - w.cost * self.cfg.balancing.gamma;
             if value > self.cfg.balancing.threshold && best.is_none_or(|(bv, _)| value > bv) {
                 best = Some((value, c));
             }
@@ -552,24 +539,22 @@ impl GossipNode {
             _ => self.silence = (self.cfg.refresh_every / 4).max(1),
         }
         // Sized up front: the frame keeps the allocation as it is.
-        let due = self.observed.values().filter(|seen| !seen.attested);
-        let mut attest = Vec::with_capacity(due.count());
-        for (&peer, seen) in self.observed.iter_mut() {
-            if !std::mem::replace(&mut seen.attested, true) {
-                attest.extend(seen.latest().map(|(step, digest)| (peer, step, digest)));
+        let due = self.peers.iter().filter(|p| p.due).count();
+        let mut attest = Vec::with_capacity(due);
+        for p in &mut self.peers {
+            if std::mem::take(&mut p.due) {
+                attest.extend(p.latest().map(|(step, digest)| (p.id, step, digest)));
             }
         }
+        // Claims go in peer-id order; the rows are in send order.
+        attest.sort_unstable_by_key(|&(peer, _, _)| peer);
         let attest = attest.into_boxed_slice();
-        let copies = self.nbrs.len() as u64;
+        let copies = self.peers.iter().filter(|p| p.link == Link::Live).count() as u64;
         self.counts.gossips_sent += copies;
         if !attest.is_empty() {
             self.counts.attests_sent += copies;
         }
-        let frame = Arc::new(HeightFrame::new(
-            self.step,
-            self.heights.as_slice().into(),
-            attest,
-        ));
+        let frame = Arc::new(HeightFrame::new(self.step, self.heights[..].into(), attest));
         self.last_frame = Some(Arc::clone(&frame));
         Some(frame)
     }
@@ -579,21 +564,23 @@ impl GossipNode {
     /// direction. Each neighbor gets one message: the step's packet to it
     /// with the frame riding, or the frame alone.
     fn run_step(&mut self, ctx: &mut Ctx<GossipMsg>) {
-        while self.next_inj < self.schedule.len() && self.schedule[self.next_inj].0 == self.step {
-            let dest = self.schedule[self.next_inj].1;
-            self.next_inj += 1;
+        while let Some(&(_, dest)) = self.schedule.last().filter(|&&(s, _)| s == self.step) {
+            self.schedule.pop();
             self.inject(dest);
         }
         self.probe_starvation();
         let frame = self.next_frame();
-        for i in 0..self.nbrs.len() {
-            let (w, cost) = self.nbrs[i];
+        for i in 0..self.peers.len() {
+            let (w, link) = (self.peers[i].id, self.peers[i].link);
+            if link != Link::Live {
+                continue;
+            }
             let frame = frame.as_ref().map(|frame| {
                 let mut copy = Arc::clone(frame);
                 self.wire.forge(ctx.now(), w, &mut copy);
                 copy
             });
-            let msg = match self.best_send(w, cost) {
+            let msg = match self.best_send(&self.peers[i]) {
                 Some(c) => {
                     self.heights[c] -= 1;
                     self.counts.packets_sent += 1;
@@ -601,10 +588,8 @@ impl GossipNode {
                     self.seq += 1;
                     // Starvation-probe bookkeeping: count what we feed each
                     // peer (sinks absorb legitimately, so they are exempt).
-                    if let Some(def) = self.cfg.defense.filter(|_| !self.dests.contains(&w)) {
-                        let fed = self.fed.entry(w).or_default();
-                        *fed += 1;
-                        self.probe_due |= *fed >= def.probe_packets;
+                    if self.cfg.defense.is_some() && !self.dests.contains(&w) {
+                        self.peers[i].fed += 1;
                     }
                     let dest = self.dests[c];
                     GossipMsg::Packet { dest, seq, frame }
@@ -624,184 +609,129 @@ impl GossipNode {
         }
     }
 
-    /// Starvation probe, run at each step before the sends: a strike for
-    /// every peer we fed `probe_packets` packets since its last non-zero
-    /// frame while its latest frame, all zero, still stands. An honest
-    /// relay's frame runs before its sends, so packets fed to it show in
-    /// the frame of its next step, which a change always sends; its
-    /// silence therefore says its heights still stand, but only while
-    /// that silence is shorter than `refresh_every` steps. A peer silent
-    /// that long has stopped talking to us (it left, or it quarantined
-    /// us), which is no evidence. Packets fed to sinks, which absorb
-    /// legitimately, are not counted.
+    /// The starvation probe ([`DefenseConfig`], detector 2), run at each
+    /// step before the sends. A peer's silence says its heights still
+    /// stand only while it is shorter than `refresh_every` steps: a peer
+    /// silent that long has stopped talking to us (it left, or it
+    /// quarantined us), which is no evidence.
     fn probe_starvation(&mut self) {
         let Some(def) = self.cfg.defense else { return };
-        if !std::mem::take(&mut self.probe_due) {
-            return;
-        }
         let (step, refresh) = (self.step, self.cfg.refresh_every);
-        let starved: Vec<u32> = self
-            .fed
-            .iter()
-            .filter(|&(w, &fed)| {
-                fed >= def.probe_packets
-                    && self
-                        .observed
-                        .get(w)
-                        .is_some_and(|seen| step + 1 - seen.heard < refresh)
-                    && self
-                        .cached
-                        .get(w)
-                        .is_some_and(|(_, heights)| heights.iter().all(|&h| h == 0))
-            })
-            .map(|(&w, _)| w)
-            .collect();
-        for w in starved {
-            self.fed.insert(w, 0);
-            self.suspect(w, 1);
+        for i in 0..self.peers.len() {
+            let p = &self.peers[i];
+            // Cached heights mean an observed frame, so `heard` is set.
+            let starved = p.fed >= def.probe_packets
+                && p.cached
+                    .as_ref()
+                    .is_some_and(|(_, h)| h.iter().all(|&h| h == 0))
+                && step + 1 - p.heard < refresh;
+            if starved {
+                self.peers[i].fed = 0;
+                self.suspect(i, 1);
+            }
         }
-        // A count at the bound that no silence answers yet is looked at
-        // again next step.
-        self.probe_due = self.fed.values().any(|&fed| fed >= def.probe_packets);
     }
 
-    /// Raise `peer`'s suspicion by `weight`; quarantine at the threshold.
-    fn suspect(&mut self, peer: u32, weight: u32) {
+    /// Raise the suspicion of peer `i` by `weight`; at the threshold,
+    /// quarantine it: clear its row, which drops the routing edge, the
+    /// cached heights and the defense's record of the peer, and ignore
+    /// its future gossip. Its data packets — innocent traffic it merely
+    /// relayed — still deliver.
+    fn suspect(&mut self, i: usize, weight: u32) {
         let Some(def) = self.cfg.defense else { return };
-        let s = self.suspicion.entry(peer).or_default();
-        *s += weight;
-        if *s >= def.quarantine_at {
-            self.quarantine(peer);
+        let p = &mut self.peers[i];
+        p.suspicion += weight;
+        if p.suspicion >= def.quarantine_at && p.link != Link::Quarantined {
+            *p = Peer {
+                id: p.id,
+                link: Link::Quarantined,
+                ..Peer::default()
+            };
+            self.counts.quarantines += 1;
         }
     }
 
-    /// Sever `peer`: drop the routing edge and cached heights exactly as
-    /// churn erodes a departed neighbor, and ignore its future gossip.
-    /// Its data packets — innocent traffic it merely relayed — still
-    /// deliver.
-    fn quarantine(&mut self, peer: u32) {
-        if !self.quarantined.insert(peer) {
-            return;
-        }
-        self.nbrs.retain(|&(w, _)| w != peer);
-        self.cached.remove(&peer);
-        self.suspicion.remove(&peer);
-        self.fed.remove(&peer);
-        self.observed.remove(&peer);
-        self.counts.quarantines += 1;
-    }
-
-    /// Defense checks on a fresh (non-stale) height frame from `from`.
-    /// Returns true when the frame is plausible and may be cached.
-    fn vet_heights(&mut self, from: u32, step: u64, heights: &[u32]) -> bool {
+    /// Defense checks on a fresh (non-stale) height frame from peer `i`,
+    /// after recording what the peer *said* regardless of whether we
+    /// trust it: attestation compares observations, so a frame refused as
+    /// implausible still convicts an equivocator. Returns true when the
+    /// frame is plausible and may be cached.
+    fn vet_heights(&mut self, i: usize, step: u64, heights: &[u32]) -> bool {
         let Some(def) = self.cfg.defense else {
             return true;
         };
+        self.peers[i].observe(self.step, step, heights);
         // Capacity bound: honest buffers cannot exceed the configured
         // capacity, so any larger advertisement is a fabrication
         // (catches inflation on the very first frame).
-        let mut implausible = heights.iter().any(|&h| h > self.cfg.balancing.capacity);
+        let over = heights.iter().any(|&h| h > self.cfg.balancing.capacity);
         // Rate bound: a buffer drains/fills at most `max_height_rate`
         // per gossip step (degree × per-edge capacity, the γ-priced
         // quantity), so a jump past that over the elapsed steps is a lie.
-        if !implausible {
-            if let Some((old_step, old)) = self.cached.get(&from) {
-                let allowed =
-                    u64::from(def.max_height_rate) * step.saturating_sub(*old_step).max(1);
-                implausible = heights
-                    .iter()
-                    .zip(old)
-                    .any(|(&h, &o)| u64::from(h.abs_diff(o)) > allowed);
-            }
-        }
-        if implausible {
+        let jumped = |(old_step, old): &(u64, Vec<u32>)| {
+            let allowed = u64::from(def.max_height_rate) * step.saturating_sub(*old_step).max(1);
+            heights
+                .iter()
+                .zip(old)
+                .any(|(&h, &o)| u64::from(h.abs_diff(o)) > allowed)
+        };
+        if over || self.peers[i].cached.as_ref().is_some_and(jumped) {
             self.counts.implausible_gossip += 1;
-            self.suspect(from, 1);
+            self.suspect(i, 1);
             return false;
         }
         // A non-zero frame answers the packets fed so far (see
         // `probe_starvation`).
         if heights.iter().any(|&h| h > 0) {
-            self.fed.insert(from, 0);
+            self.peers[i].fed = 0;
         }
         true
-    }
-
-    /// Take in the heights of a frame `from` sent at its `step`: refuse
-    /// it if reordered behind the cached frame, record what the peer
-    /// said for attestation, and cache it if the defense finds it
-    /// plausible.
-    fn accept_heights(&mut self, from: u32, step: u64, heights: &[u32]) {
-        // Reordered deliveries (any positive-width delay distribution)
-        // must never roll the cache back: keep the entry with the newest
-        // sender step.
-        if self
-            .cached
-            .get(&from)
-            .is_some_and(|&(cached, _)| cached > step)
-        {
-            self.counts.stale_gossip_dropped += 1;
-            return;
-        }
-        // Record what the peer *said* regardless of whether we trust it:
-        // attestation compares observations, so a frame refused as
-        // implausible still convicts an equivocator.
-        if self.cfg.defense.is_some() {
-            let now = self.step;
-            self.observed
-                .entry(from)
-                .or_default()
-                .record(now, step, heights);
-            self.observed_peers |= 1 << (from % 64);
-        }
-        if self.vet_heights(from, step, heights) && !self.quarantined.contains(&from) {
-            let (cached_step, cached) = self.cached.entry(from).or_default();
-            *cached_step = step;
-            cached.clear();
-            cached.extend_from_slice(heights);
-        }
     }
 
     /// Compare a neighbor's sworn record only against frames *we*
     /// observed first-hand — never third-party claims against each
     /// other, so no attester can frame a peer alone. Matching
     /// `(peer, step)` with differing digests is proof of equivocation:
-    /// quarantine immediately.
-    fn check_attestation(&mut self, from: u32, attest: &[(u32, u64, u64)]) {
+    /// quarantine immediately. Quarantine clears a peer's record, so
+    /// only claims about peers still trusted are checked.
+    fn check_attestation(&mut self, attest: &[(u32, u64, u64)]) {
         let Some(def) = self.cfg.defense else { return };
-        if self.quarantined.contains(&from) {
-            return;
-        }
-        // Quarantine drops a peer's record, so only peers still trusted
-        // are checked.
-        let caught: Vec<u32> = attest
-            .iter()
-            .filter(|&&(peer, step, digest)| {
-                self.observed_peers & 1 << (peer % 64) != 0
-                    && self
-                        .observed
-                        .get(&peer)
-                        .and_then(|seen| seen.digest(step))
-                        .is_some_and(|mine| mine != digest)
-            })
-            .map(|&(peer, _, _)| peer)
-            .collect();
-        for peer in caught {
-            self.counts.equivocations += 1;
-            self.suspect(peer, def.quarantine_at);
+        for &(peer, step, digest) in attest {
+            let Some(j) = self.find(peer) else { continue };
+            if self.peers[j]
+                .digest(step)
+                .is_some_and(|mine| mine != digest)
+            {
+                self.counts.equivocations += 1;
+                self.suspect(j, def.quarantine_at);
+            }
         }
     }
 
-    /// Take in a height frame `from` sent, alone or riding a packet: its
-    /// heights, then its attestation. A quarantined peer's word is
+    /// Take in a height frame `from` sent, alone or riding a packet: cache
+    /// its heights unless they are stale or the defense refuses them,
+    /// then check its attestation. A quarantined peer's word is
     /// worthless: ignore it.
     fn take_frame(&mut self, from: u32, frame: &HeightFrame) {
-        if self.quarantined.contains(&from) {
+        let Some(i) = self.find(from) else { return };
+        let p = &self.peers[i];
+        if p.link == Link::Quarantined {
             return;
         }
-        self.accept_heights(from, frame.step, &frame.heights);
-        if !frame.attest.is_empty() {
-            self.check_attestation(from, &frame.attest);
+        // Reordered deliveries (any positive-width delay distribution)
+        // must never roll the cache back: keep the entry with the newest
+        // sender step.
+        if p.cached.as_ref().is_some_and(|(at, _)| *at > frame.step) {
+            self.counts.stale_gossip_dropped += 1;
+        } else if self.vet_heights(i, frame.step, &frame.heights) {
+            let (step, cached) = self.peers[i].cached.get_or_insert_default();
+            *step = frame.step;
+            cached.clear();
+            cached.extend_from_slice(&frame.heights);
+        }
+        // The heights may have convicted the sender.
+        if !frame.attest.is_empty() && self.peers[i].link != Link::Quarantined {
+            self.check_attestation(&frame.attest);
         }
     }
 }
@@ -853,19 +783,21 @@ impl Actor for GossipNode {
         // out-of-range peers vanish for good, and an edge to a node that
         // had not joined opens when the node first shows up (churn never
         // adds an edge the topology graph lacks, nor restores one it
-        // eroded).
-        self.nbrs
-            .retain(|(w, _)| neighbors.binary_search(w).is_ok());
-        let nbrs = &mut self.nbrs;
-        self.unmet.retain(|&edge| {
-            let met = neighbors.binary_search(&edge.0).is_ok();
-            if met {
-                nbrs.push(edge);
+        // eroded). An edge that opens goes last in the send order: the
+        // sort is stable.
+        let in_row = |p: &Peer| neighbors.binary_search(&p.id).is_ok();
+        self.peers
+            .sort_by_key(|p| p.link == Link::Unmet && in_row(p));
+        for p in &mut self.peers {
+            match (p.link, in_row(p)) {
+                (Link::Unmet, true) => p.link = Link::Live,
+                (Link::Live, false) => p.link = Link::Gone,
+                _ => {}
             }
-            !met
-        });
-        self.cached
-            .retain(|w, _| neighbors.binary_search(w).is_ok());
+            if !in_row(p) {
+                p.cached = None;
+            }
+        }
         // A joiner got no on_start; bootstrap its step tick here. Nodes
         // that already ran out of steps stay stopped.
         if !self.ticking && self.step < self.cfg.steps {
@@ -1013,7 +945,7 @@ pub(crate) fn build_nodes(
         schedules[src as usize].push((step, dest));
     }
     for s in schedules.iter_mut() {
-        s.sort_unstable_by_key(|&(step, _)| step);
+        s.sort_unstable_by_key(|&(step, _)| std::cmp::Reverse(step));
     }
     let joiners: BTreeSet<u32> = plan
         .entries()
@@ -1023,37 +955,27 @@ pub(crate) fn build_nodes(
         .collect();
     (0..n as u32)
         .map(|id| {
-            let edges = topology
-                .graph
-                .neighbors(id)
-                .iter()
-                .map(|a| (a.to, a.weight));
-            let (nbrs, unmet) = if joiners.contains(&id) {
-                (Vec::new(), edges.collect())
-            } else {
-                edges.partition(|(w, _)| !joiners.contains(w))
-            };
+            let peers = topology.graph.neighbors(id).iter().map(|a| {
+                let met = !joiners.contains(&id) && !joiners.contains(&a.to);
+                Peer {
+                    id: a.to,
+                    cost: a.weight,
+                    link: if met { Link::Live } else { Link::Unmet },
+                    ..Peer::default()
+                }
+            });
             GossipNode {
                 id,
                 wire: Wire::new(adversary.for_node(id), cfg.reliability.is_none()),
-                nbrs,
-                unmet,
+                peers: peers.collect(),
                 dests: dests.to_vec(),
                 heights: vec![0; dests.len()],
-                cached: BTreeMap::new(),
                 last_frame: None,
                 silence: 0,
                 schedule: std::mem::take(&mut schedules[id as usize]),
-                next_inj: 0,
                 cfg,
                 step: 0,
                 seq: 0,
-                suspicion: BTreeMap::new(),
-                fed: BTreeMap::new(),
-                probe_due: false,
-                observed: BTreeMap::new(),
-                observed_peers: 0,
-                quarantined: BTreeSet::new(),
                 ticking: false,
                 counts: NodeCounts::default(),
             }
@@ -1115,7 +1037,8 @@ where
         run.equivocations += c.equivocations;
         run.attests_sent += c.attests_sent;
         run.quarantines += c.quarantines;
-        run.quarantined_nodes.extend(node.quarantined.iter());
+        let quarantined = node.peers.iter().filter(|p| p.link == Link::Quarantined);
+        run.quarantined_nodes.extend(quarantined.map(|p| p.id));
         received += c.packets_received;
         run.buffered += node.heights.iter().map(|&h| h as u64).sum::<u64>();
     }
@@ -1200,18 +1123,11 @@ pub fn run_gossip_balancing_adversarial(
             (node, LinkCounters::default(), 0)
         }),
         Some(rc) => {
-            let stacks = nodes
-                .into_iter()
-                .map(|node| ReliableActor::new(node, rc, needs_reliability));
-            run_stack(
-                stacks.collect(),
-                topology,
-                faults,
-                seed,
-                plan,
-                threads,
-                |r| (r.inner(), r.counters(), r.pending_count()),
-            )
+            let wrap = |node| ReliableActor::new(node, rc, needs_reliability);
+            let stacks = nodes.into_iter().map(wrap).collect();
+            run_stack(stacks, topology, faults, seed, plan, threads, |r| {
+                (r.inner(), r.counters(), r.pending_count())
+            })
         }
     }
 }
@@ -1229,22 +1145,24 @@ mod tests {
     impl GossipNode {
         /// The peers the node sends to, in send order.
         pub(crate) fn live_peers(&self) -> Vec<u32> {
-            self.nbrs.iter().map(|&(w, _)| w).collect()
+            let live = self.peers.iter().filter(|p| p.link == Link::Live);
+            live.map(|p| p.id).collect()
         }
 
         /// The `(step, heights)` the node caches for `peer`.
         fn cached_of(&self, peer: u32) -> Option<&(u64, Vec<u32>)> {
-            self.cached.get(&peer)
+            self.peers[self.find(peer)?].cached.as_ref()
         }
 
         /// The step of `peer`'s latest frame the node observed.
         fn observed_step(&self, peer: u32) -> Option<u64> {
-            let seen = self.observed.get(&peer)?;
+            let seen = &self.peers[self.find(peer)?];
             seen.latest().map(|(step, _)| step)
         }
 
         fn is_quarantined(&self, peer: u32) -> bool {
-            self.quarantined.contains(&peer)
+            self.find(peer)
+                .is_some_and(|i| self.peers[i].link == Link::Quarantined)
         }
     }
 
@@ -1603,7 +1521,7 @@ mod tests {
                 let f = sender.last_frame.as_ref().expect("a frame was sent");
                 sent.push((f.step, f.heights.to_vec()));
             }
-            if let Some(c) = receiver.cached.get(&0) {
+            if let Some(c) = receiver.cached_of(0) {
                 if cached.last() != Some(c) {
                     cached.push(c.clone());
                 }
@@ -1747,7 +1665,7 @@ mod tests {
         // Node 1's cache of node 0 ends at the freshest gossip: step 59,
         // heights including all 60 injections.
         let col = rt.node(0).col(2).unwrap();
-        let (step, heights) = rt.node(1).cached.get(&0).expect("gossip cached");
+        let (step, heights) = rt.node(1).cached_of(0).expect("gossip cached");
         assert_eq!(*step, steps - 1, "cache ended on a stale step");
         assert_eq!(heights[col], steps as u32);
         assert_eq!(heights, &rt.node(0).heights);
@@ -2184,7 +2102,7 @@ mod tests {
             seq,
             frame: Some(Arc::new(HeightFrame::new(step, [h].into(), Box::default()))),
         };
-        let latest = |node: &GossipNode, peer| node.observed[&peer].latest().unwrap().0;
+        let latest = |node: &GossipNode, peer| node.observed_step(peer).unwrap();
         // From node 2: a packet admitted, then a refused copy of it
         // carrying a newer frame.
         let first = GossipMsg::Packet {
@@ -2195,13 +2113,13 @@ mod tests {
         node.on_message(&mut ctx, 2, first);
         node.on_message(&mut ctx, 2, riding(0, 4, 3));
         assert_eq!(node.counts.packets_received, 1, "the copy was refused");
-        assert_eq!(node.cached[&2], (4, vec![3]));
+        assert_eq!(*node.cached_of(2).unwrap(), (4, vec![3]));
         assert_eq!(latest(&node, 2), 4);
         // From node 0, whose packets the radio eats.
         node.on_message(&mut ctx, 0, riding(0, 6, 2));
         assert_eq!(node.wire.blackholed, 1);
         assert_eq!(node.counts.packets_received, 1);
-        assert_eq!(node.cached[&0], (6, vec![2]));
+        assert_eq!(*node.cached_of(0).unwrap(), (6, vec![2]));
         assert_eq!(latest(&node, 0), 6);
         assert!(ctx.sends.is_empty());
     }
@@ -2362,7 +2280,7 @@ mod tests {
                     continue;
                 }
                 let row = rt.radio_neighbors(id);
-                assert!(node.nbrs.iter().all(|(w, _)| row.contains(w)), "{id}");
+                assert!(node.live_peers().iter().all(|w| row.contains(w)), "{id}");
                 let mut copy = node.clone();
                 let mut ctx = Ctx::new(id, rt.now());
                 copy.run_step(&mut ctx);
@@ -2371,7 +2289,7 @@ mod tests {
                 to.sort_unstable();
                 to.dedup();
                 assert_eq!(to.len(), ctx.sends.len(), "one message per neighbor");
-                let frame = copy.last_frame.filter(|f| f.step == node.step);
+                let frame = copy.last_frame.clone().filter(|f| f.step == node.step);
                 let Some(frame) = frame else {
                     assert!(ctx
                         .sends
@@ -2380,7 +2298,7 @@ mod tests {
                     continue;
                 };
                 with_frame += 1;
-                assert_eq!(ctx.sends.len(), copy.nbrs.len());
+                assert_eq!(ctx.sends.len(), copy.live_peers().len());
                 for (_, msg) in &ctx.sends {
                     let sent = match msg {
                         GossipMsg::Heights(f) => f,
